@@ -147,13 +147,17 @@ class ConvergenceReport:
                          for n in orders])
 
 
-def _density_moments(f, lo: float, hi: float, k_max: int) -> np.ndarray:
-    out = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        val, _ = quadrature.integrate(
-            lambda x: np.asarray(f(x), float) * x**k, lo, hi, rel_tol=1e-11)
-        out[k] = val
-    return out
+def _density_moments(densities, lo: float, hi: float, k_max: int) -> np.ndarray:
+    """int x**k f(x) dx over [lo, hi] for each density f and k = 0..k_max,
+    shape (len(densities), k_max + 1).  One vector ``integrate`` call: every
+    density is evaluated once per node, and each moment stops at the level
+    where it would have stopped alone."""
+    def integrand(x):
+        rows = [np.asarray(f(x), float) for f in densities]
+        return np.array([[r * x**k for k in range(k_max + 1)] for r in rows])
+
+    vals, _ = quadrature.integrate(integrand, lo, hi, rel_tol=1e-11)
+    return vals
 
 
 def convergence_report(J: SpectralDensity, q: float, n: int,
@@ -164,7 +168,9 @@ def convergence_report(J: SpectralDensity, q: float, n: int,
     Moment gaps compare int w^k J_m(w) dw with the terminal density's
     moments for m = 1..min(residual_orders, 6); they are only computed for
     q in {0, 1} on Szego-class inputs (elsewhere there is no terminal
-    density to compare against).
+    density to compare against).  All orders and moments share one node
+    set: a single vector quadrature evaluates the terminal density and
+    every J_m once per node, so the reducer runs once per quadrature level.
     """
     verdict = szego_check(J, q)
     cc = chain_coefficients(J, q, n, method=method)
@@ -185,10 +191,10 @@ def convergence_report(J: SpectralDensity, q: float, n: int,
         rd = ResidualDensity.build(J, int(q), orders)
         jt = terminal_sd(J, int(q))
         glo, ghi = rd.clipped_range()
-        ct = _density_moments(jt, glo, ghi, moment_order)
+        densities = [jt] + [lambda w, m=m: rd(m, w) for m in range(1, orders + 1)]
+        c = _density_moments(densities, glo, ghi, moment_order)
         for m in range(1, orders + 1):
-            cm = _density_moments(lambda w: rd(m, w), glo, ghi, moment_order)
-            gaps[m] = np.abs(cm - ct)
+            gaps[m] = np.abs(c[m] - c[0])
     return ConvergenceReport(
         szego=verdict, q=q, alpha=alpha, beta=beta,
         alpha_limit=a_inf, beta_limit=b_inf,

@@ -12,8 +12,16 @@ than by their positions alone; this keeps ``x - a`` accurate down to
 ~1e-290 of the interval width, which is what makes endpoint-singular
 weights evaluate cleanly.
 
+The levels are nested (Bailey, Jeyabalan & Li, Exp. Math. 14 (2005) 317):
+halving the step keeps every node of the previous level and adds the odd
+ones between them, so ``integrate`` calls its integrand only on the nodes
+each level adds and reuses the values it already has.  The integrand may
+return an array of shape ``(..., nodes)``; every component then converges
+on its own, exactly as if it had been integrated alone.
+
 All reductions are plain ``np.sum`` over a fixed node ordering, so repeated
-runs are bit-identical.
+runs are bit-identical, and the reused values make each level's sum the
+same as evaluating every node afresh.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "nodes",
+    "refinement",
     "integrate_fixed",
     "integrate",
     "tail_cutoff",
@@ -37,6 +46,21 @@ MAX_LEVEL = 11
 _TMAX = 6.1
 
 _cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_refine_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _rule(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(k, dist_left, dist_right, weights)``; node k sits at t = k * 2**-level."""
+    h = 1.0 / 2**level
+    k = np.arange(-int(_TMAX / h), int(_TMAX / h) + 1)
+    t = k * h
+    v = 0.5 * np.pi * np.sinh(t)
+    # 1 -+ tanh(v) without cancellation
+    dist_right = 2.0 / (np.expm1(2.0 * v) + 2.0)
+    dist_left = 2.0 / (np.expm1(-2.0 * v) + 2.0)
+    w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(v) ** 2
+    keep = (w > 1e-290) & (dist_right > 1e-290) & (dist_left > 1e-290)
+    return k[keep], dist_left[keep], dist_right[keep], w[keep]
 
 
 def nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -47,20 +71,28 @@ def nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     both computed without cancellation.
     """
     cached = _cache.get(level)
-    if cached is not None:
-        return cached
-    h = 1.0 / 2**level
-    k = np.arange(-int(_TMAX / h), int(_TMAX / h) + 1)
-    t = k * h
-    v = 0.5 * np.pi * np.sinh(t)
-    # 1 -+ tanh(v) without cancellation
-    dist_right = 2.0 / (np.expm1(2.0 * v) + 2.0)
-    dist_left = 2.0 / (np.expm1(-2.0 * v) + 2.0)
-    w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(v) ** 2
-    keep = (w > 1e-290) & (dist_right > 1e-290) & (dist_left > 1e-290)
-    out = (dist_left[keep], dist_right[keep], w[keep])
-    _cache[level] = out
-    return out
+    if cached is None:
+        cached = _cache[level] = _rule(level)[1:]
+    return cached
+
+
+def refinement(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How the rule at ``level`` extends the rule at ``level - 1``, as
+    boolean masks ``(old, carried, new)``.
+
+    The nodes ``old`` selects from this level are, in order, the nodes
+    ``carried`` selects from the previous one (same positions, half the
+    weights, to the bit); ``new`` selects the nodes this level adds.  The
+    weight cut-off drops a few outermost previous nodes, so ``carried``
+    need not select the whole previous level.
+    """
+    cached = _refine_cache.get(level)
+    if cached is None:
+        k = _rule(level)[0]
+        k_prev = _rule(level - 1)[0]
+        old = (k % 2 == 0) & np.isin(k // 2, k_prev)
+        cached = _refine_cache[level] = (old, np.isin(k_prev, k[old] // 2), ~old)
+    return cached
 
 
 def map_nodes(level: int, a: float, b: float):
@@ -89,32 +121,51 @@ def integrate_fixed(f: Callable, a: float, b: float, level: int,
     return np.sum(vals * w)
 
 
-def _value_and_l1(f, a, b, level, with_distances):
-    x, da, db, w = map_nodes(level, a, b)
-    vals = np.asarray(f(x, da, db) if with_distances else f(x))
-    return np.sum(vals * w), float(np.sum(np.abs(vals) * w))
-
-
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
               with_distances: bool = False,
               min_level: int = MIN_LEVEL, max_level: int = MAX_LEVEL):
-    """Integrate f over [a, b], doubling the rule until two consecutive
+    """Integrate f over [a, b], halving the step until two consecutive
     levels agree to ``rel_tol``.  An absolute floor proportional to the
     integrand's L1 mass keeps exactly-cancelling integrals (odd moments of
     symmetric weights) from chasing their own roundoff.
 
-    Returns ``(value, converged)``; the caller decides whether a
-    non-converged result is an error.
+    Each level calls f only on the nodes it adds (``refinement``).  f may
+    return shape ``(..., nodes)``: the value then has shape ``(...)`` and
+    each component keeps the level at which it converged, so one call
+    gives the same numbers as one scalar call per component.
+
+    Returns ``(value, converged)``, ``converged`` being true when every
+    component converged; the caller decides whether a non-converged result
+    is an error.
     """
     if not b > a:
         return 0.0, True
-    prev, _ = _value_and_l1(f, a, b, min_level, with_distances)
+
+    def call(x, da, db):
+        return np.asarray(f(x, da, db) if with_distances else f(x))
+
+    x, da, db, w = map_nodes(min_level, a, b)
+    vals = call(x, da, db)
+    prev = np.sum(vals * w, axis=-1)
+    value = prev
+    done = np.zeros(np.shape(prev), bool)
     for level in range(min_level + 1, max_level + 1):
-        cur, l1 = _value_and_l1(f, a, b, level, with_distances)
-        if abs(cur - prev) <= rel_tol * abs(cur) + 1e-15 * l1 + 1e-300:
-            return cur, True
+        x, da, db, w = map_nodes(level, a, b)
+        old, carried, new = refinement(level)
+        fresh = call(x[new], da[new], db[new])
+        full = np.empty(vals.shape[:-1] + w.shape, np.result_type(vals, fresh))
+        full[..., old] = vals[..., carried]
+        full[..., new] = fresh
+        vals = full
+        cur = np.sum(vals * w, axis=-1)
+        l1 = np.sum(np.abs(vals) * w, axis=-1)
+        ok = ~done & (np.abs(cur - prev) <= rel_tol * np.abs(cur) + 1e-15 * l1 + 1e-300)
+        value = np.where(ok, cur, value)
+        done |= ok
+        if done.all():
+            return value[()], True
         prev = cur
-    return prev, False
+    return np.where(done, value, prev)[()], False
 
 
 def tail_cutoff(rate: float, power: float, stretch: float, onset: float = 0.0,

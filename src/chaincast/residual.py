@@ -73,7 +73,9 @@ class ResidualDensity:
         """Frequency window on which samples are emitted.
 
         The guard band (the reducer's evaluation band in the transformed
-        measure domain) keeps clear of the endpoint divergence; unbounded
+        measure domain) keeps clear of the endpoint divergence; at q = 1
+        the ends are the band's square roots, moved inward by a few ulps
+        where squaring them back would round out of the band.  Unbounded
         supports are cut where J_0 has fallen to 1e-12 of its peak (the
         sequence is not expected to converge there).
         """
@@ -87,7 +89,14 @@ class ResidualDensity:
             y_hi = min(y_hi, band[1])
         if self.q == 0:
             return y_lo, y_hi
-        return math.sqrt(y_lo), math.sqrt(y_hi)
+        # __call__ squares w as w * w; step each end inward until that
+        # rounding stays inside the band.
+        lo, hi = math.sqrt(y_lo), math.sqrt(y_hi)
+        while lo * lo < band[0]:
+            lo = math.nextafter(lo, math.inf)
+        while hi * hi > band[1]:
+            hi = math.nextafter(hi, -math.inf)
+        return lo, hi
 
     def measure_of_order(self, n: int) -> Measure:
         """The measure d-lambda^q built from J_n (guard-banded interior)."""

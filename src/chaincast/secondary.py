@@ -17,7 +17,7 @@ matrix of the base (first n rows and columns crossed out).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,6 +60,10 @@ class SecondarySequence:
     rc: RecurrenceCoefficients
     reducer: ReducerEvaluator
     mode: str
+    # (x, phi) of the last reducer call: the members are usually sampled
+    # order by order on one grid, and phi is the same for all of them.
+    _phi_memo: list = field(default_factory=list, init=False, repr=False,
+                            compare=False)
 
     @classmethod
     def build(cls, measure: Measure, order: int, mode: str = "normalized",
@@ -91,7 +95,7 @@ class SecondarySequence:
             raise IndexOutOfRange(f"member {n} beyond prepared order {self.order}")
         xs = np.atleast_1d(np.asarray(x, float))
         mu0 = np.asarray(self.base.weight(xs), float)
-        phi = np.asarray(self.reducer(xs), float)
+        phi = self._phi(xs)
         p = orthonormal_table(self.rc, n - 1, xs)[n - 1]
         q = secondary_table(self.rc, n - 1, xs)[n - 1]
         den = (p * phi / 2.0 - q) ** 2 + math.pi**2 * mu0**2 * p**2
@@ -99,6 +103,14 @@ class SecondarySequence:
         if self.mode == "normalized":
             vals = vals / self.rc.beta[n]
         return vals if np.ndim(x) else float(vals[0])
+
+    def _phi(self, xs: np.ndarray) -> np.ndarray:
+        memo = self._phi_memo
+        if memo and np.array_equal(memo[0], xs):
+            return memo[1]
+        phi = np.asarray(self.reducer(xs), float)
+        memo[:] = [xs.copy(), phi]
+        return phi
 
     def member_mass(self, n: int) -> float:
         if n == 0:

@@ -124,6 +124,32 @@ class TestConvergenceReport:
         # the footnote observable is still reported
         assert rep.hopping_ratio.size == 8
 
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("family", ["flat", "power_law"])
+    def test_shared_nodes_match_one_integral_per_moment(self, family, q):
+        # Oracle: one scalar integral per (order, k), as the moments were
+        # computed before they shared a node set.
+        sd = (cc.piecewise_uniform_sd([(0.2, 1.4, 0.7)]) if family == "flat"
+              else cc.power_law_sd(1.0, 0.1, 1.0))
+        orders, k_max = 3, 4
+        rep = cc.convergence_report(sd, float(q), 6, residual_orders=orders,
+                                    moment_order=k_max)
+        rd = cc.ResidualDensity.build(sd, q, orders)
+        jt = cc.terminal_sd(sd, q)
+        lo, hi = rd.clipped_range()
+
+        def moment(f, k):
+            val, _ = cc.quadrature.integrate(
+                lambda x: np.asarray(f(x), float) * x**k, lo, hi, rel_tol=1e-11)
+            return val
+
+        ct = np.array([moment(jt, k) for k in range(k_max + 1)])
+        assert sorted(rep.terminal_moment_gap) == list(range(1, orders + 1))
+        for m in range(1, orders + 1):
+            cm = np.array([moment(lambda w: rd(m, w), k) for k in range(k_max + 1)])
+            np.testing.assert_allclose(rep.terminal_moment_gap[m],
+                                       np.abs(cm - ct), rtol=1e-12, atol=0)
+
     def test_gapped_report(self, gapped_sd):
         rep = cc.convergence_report(gapped_sd, 0.0, 6)
         assert str(rep.szego) == "out_of_class(gapped)"

@@ -1,0 +1,122 @@
+import math
+
+import numpy as np
+import pytest
+
+import chaincast as cc
+from chaincast import quadrature
+
+
+class TestNestedLevels:
+    @pytest.mark.parametrize("level", range(quadrature.MIN_LEVEL + 1,
+                                            quadrature.MAX_LEVEL + 1))
+    def test_level_keeps_previous_nodes(self, level):
+        old, carried, new = quadrature.refinement(level)
+        dl, dr, w = quadrature.nodes(level)
+        pdl, pdr, pw = quadrature.nodes(level - 1)
+        assert np.array_equal(dl[old], pdl[carried])
+        assert np.array_equal(dr[old], pdr[carried])
+        assert np.array_equal(w[old], 0.5 * pw[carried])
+        assert np.array_equal(new, ~old)
+        assert new.sum() >= len(w) // 2
+        # only a few outermost nodes of the previous level fall below the
+        # weight cut-off
+        assert len(pw) - carried.sum() <= 4
+
+    def test_integrand_sees_only_new_nodes(self):
+        seen = []
+
+        def f(x):
+            seen.append(len(x))
+            return np.exp(-x * x) * np.sin(40 * x) ** 2
+
+        _, ok = quadrature.integrate(f, -1.0, 2.0)
+        assert ok
+        levels = range(quadrature.MIN_LEVEL, quadrature.MIN_LEVEL + len(seen))
+        expect = [len(quadrature.nodes(quadrature.MIN_LEVEL)[2])] + [
+            quadrature.refinement(lv)[2].sum() for lv in levels[1:]]
+        assert seen == expect
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("s", [-0.9, -0.5, 0.5, 2.0])
+    def test_algebraic_endpoint_singularity(self, s):
+        got, ok = quadrature.integrate(lambda x: x**s, 0.0, 1.0)
+        assert ok
+        assert got == pytest.approx(1.0 / (s + 1.0), rel=1e-12)
+
+    def test_endpoint_singularity_through_distances(self):
+        # (1 - x)^-0.75 on [0, 1] through the exact offset to the right end
+        got, ok = quadrature.integrate(lambda x, da, db: db**-0.75, 0.0, 1.0,
+                                       with_distances=True)
+        assert ok
+        assert got == pytest.approx(4.0, rel=1e-12)
+
+    def test_log_singularities(self):
+        got, ok = quadrature.integrate(np.log, 0.0, 1.0)
+        assert ok
+        assert got == pytest.approx(-1.0, rel=1e-12)
+        got, ok = quadrature.integrate(lambda x, da, db: np.log(da) * np.log(db),
+                                       0.0, 1.0, with_distances=True)
+        assert ok
+        assert got == pytest.approx(2.0 - math.pi**2 / 6.0, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_odd_moments_of_symmetric_weight_hit_l1_floor(self, k):
+        # exact zero: only the L1 floor lets the refinement stop
+        got, ok = quadrature.integrate(lambda x: x**k * np.sqrt(1.0 - x * x),
+                                       -1.0, 1.0)
+        assert ok
+        assert abs(got) < 1e-15
+
+    def test_not_converged_flag(self):
+        got, ok = quadrature.integrate(lambda x: np.cos(2000.0 * x), 0.0, 1.0,
+                                       max_level=8)
+        assert not ok
+        assert np.isfinite(got)
+
+    def test_empty_interval(self):
+        assert quadrature.integrate(np.cos, 1.0, 1.0) == (0.0, True)
+
+
+class TestVectorIntegrand:
+    # Components that converge at different levels: the smooth one early,
+    # the endpoint-singular and oscillating ones late.
+    FUNCS = (
+        np.cos,
+        lambda x: x**-0.9,
+        lambda x: np.log(x) * x**3,
+        lambda x: np.sin(60.0 * x) ** 2,
+        lambda x: (x - 0.5) ** 3,
+    )
+
+    def test_matches_stacked_scalar_calls(self):
+        def vec(x):
+            return np.array([f(x) for f in self.FUNCS])
+
+        got, ok = quadrature.integrate(vec, 0.0, 1.0, rel_tol=1e-11)
+        assert got.shape == (len(self.FUNCS),)
+        want = [quadrature.integrate(f, 0.0, 1.0, rel_tol=1e-11) for f in self.FUNCS]
+        assert np.array_equal(got, [v for v, _ in want])
+        assert ok == all(c for _, c in want)
+
+    def test_leading_shape_and_flag(self):
+        def vec(x):
+            return np.array([[f(x) for f in self.FUNCS[:2]],
+                             [np.cos(3000.0 * x), np.ones_like(x)]])
+
+        got, ok = quadrature.integrate(vec, 0.0, 1.0, max_level=8)
+        assert got.shape == (2, 2)
+        assert not ok
+        assert got[1, 1] == pytest.approx(1.0, rel=1e-14)
+        want, _ = quadrature.integrate(self.FUNCS[0], 0.0, 1.0, max_level=8)
+        assert got[0, 0] == want
+
+    def test_complex_components(self):
+        m = cc.semicircle_measure()
+        zs = np.array([2.0, 0.3 + 0.1j])
+        got, ok = quadrature.integrate(
+            lambda t: m.weight(t) / (zs[:, None] - t), -1.0, 1.0)
+        assert ok
+        for z, g in zip(zs, got):
+            assert g == cc.stieltjes_transform(m, z)

@@ -108,3 +108,33 @@ class TestRejections:
     def test_gapped_rejected(self, gapped_sd):
         with pytest.raises(GappedMeasure):
             cc.ResidualDensity.build(gapped_sd, 0, 1)
+
+
+class TestPhononBandEdge:
+    """At q = 1 the clipped range ends are square roots of the evaluation
+    band's ends; J_n squares them back, and the rounding used to leave the
+    band for about 44% of supports (EndpointEvaluation)."""
+
+    @staticmethod
+    def _sample_ends(sd):
+        rd = cc.ResidualDensity.build(sd, 1, 1)
+        lo, hi = rd.clipped_range()
+        vals = rd(1, np.array([lo, hi]))
+        assert np.all(np.isfinite(vals) & (vals > 0))
+        band_lo, band_hi = cc.stieltjes.evaluation_band(rd.seq.base)
+        assert abs(lo - math.sqrt(band_lo)) <= 2 * math.ulp(lo)
+        assert abs(hi - math.sqrt(band_hi)) <= 2 * math.ulp(hi)
+
+    def test_piecewise_supports(self):
+        rng = np.random.default_rng(20261017)
+        for _ in range(2000):
+            lo = rng.uniform(0.0, 2.0)
+            hi = lo + rng.uniform(0.1, 3.0)
+            self._sample_ends(cc.piecewise_uniform_sd([(lo, hi, rng.uniform(0.2, 2.0))]))
+
+    def test_power_law_supports(self):
+        # the family builds its q = 1 measure on [0, omega_c ** 2], which
+        # rounds differently from the w * w that J_n squares with
+        rng = np.random.default_rng(20261018)
+        for omega_c in rng.uniform(0.5, 2.5, 400):
+            self._sample_ends(cc.power_law_sd(1.0, 0.1, omega_c))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chaincast as cc
+from chaincast import stieltjes
 from chaincast.errors import (
     GappedMeasure,
     IndexOutOfRange,
@@ -144,6 +145,29 @@ class TestSequenceDensity:
             seq.density(0, 0.5)
         with pytest.raises(IndexOutOfRange):
             seq.density(3, 0.5)
+
+    def test_reducer_runs_once_per_grid(self, weight_x, monkeypatch):
+        plain = cc.Measure(weight_x.weight, weight_x.support)
+        seq = cc.SecondarySequence.build(plain, 3, mode="beta_normalized")
+        calls = []
+        real = stieltjes._reducer_lipschitz
+
+        def counting(m, x):
+            calls.append(len(x))
+            return real(m, x)
+
+        monkeypatch.setattr(stieltjes, "_reducer_lipschitz", counting)
+        xs = np.linspace(0.1, 0.9, 17)
+        first = [seq.density(n, xs) for n in (1, 2, 3)]
+        assert calls == [17]
+        assert np.array_equal(seq.density(2, xs.copy()), first[1])
+        assert calls == [17]
+        # a changed grid, even changed in place, is evaluated afresh
+        xs[0] = 0.2
+        seq.density(1, xs)
+        assert calls == [17, 17]
+        fresh = cc.SecondarySequence.build(plain, 3, mode="beta_normalized")
+        assert np.array_equal(seq.density(3, xs), fresh.density(3, xs))
 
 
 class TestSecondaryMoments:
