@@ -15,6 +15,7 @@ construction coincide with beta_n and alpha_{n-1} of the phonon measure.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,6 +36,8 @@ __all__ = [
     "associated_jacobi",
     "bassano_coefficients",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -245,8 +248,12 @@ def bassano_coefficients(J: SpectralDensity, n: int,
     lo, hi = J.hull
     if math.isinf(hi):
         hi = m._effective_intervals(2)[-1][1] ** 0.5
-    direct, _ = quadrature.integrate(
-        lambda w: np.asarray(J(w), float) * w, lo, hi, rel_tol=1e-12)
+    rel_tol = 1e-12
+    direct, ok = quadrature.integrate(
+        lambda w: np.asarray(J(w), float) * w, lo, hi, rel_tol=rel_tol)
+    if not ok:
+        _log.warning("bassano_coefficients: quadrature not converged on "
+                     "[%r, %r] at rel_tol %g", lo, hi, rel_tol)
     direct *= 2.0 / math.pi
     if abs(direct - d_sq[0]) > 1e-8 * max(abs(direct), abs(d_sq[0])):
         raise IllConditioned(

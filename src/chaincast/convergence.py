@@ -14,6 +14,7 @@ unbounded spectral densities are never in the class.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ __all__ = [
     "terminal_sd",
     "convergence_report",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -66,11 +69,15 @@ def szego_check(J: SpectralDensity, q: float) -> SzegoVerdict:
         w = np.maximum(np.asarray(m.weight(x), float), 1e-300)
         return np.log(w) / np.sqrt((b - x) * (x - a))
 
+    rel_tol = 1e-11
     values = []
     for k in range(2, 7):
         delta = 10.0 ** (-k) * span
-        val, _ = quadrature.integrate(integrand, a + delta, b - delta,
-                                      rel_tol=1e-11)
+        val, ok = quadrature.integrate(integrand, a + delta, b - delta,
+                                       rel_tol=rel_tol)
+        if not ok:
+            _log.warning("szego_check: quadrature not converged on [%r, %r] "
+                         "at rel_tol %g", a + delta, b - delta, rel_tol)
         values.append(val)
     inc = np.abs(np.diff(values))
     if np.all(inc < 1e-9 * (1.0 + abs(values[-1]))):
@@ -156,7 +163,11 @@ def _density_moments(densities, lo: float, hi: float, k_max: int) -> np.ndarray:
         rows = [np.asarray(f(x), float) for f in densities]
         return np.array([[r * x**k for k in range(k_max + 1)] for r in rows])
 
-    vals, _ = quadrature.integrate(integrand, lo, hi, rel_tol=1e-11)
+    rel_tol = 1e-11
+    vals, ok = quadrature.integrate(integrand, lo, hi, rel_tol=rel_tol)
+    if not ok:
+        _log.warning("convergence_report: moment quadrature not converged on "
+                     "[%r, %r] at rel_tol %g", lo, hi, rel_tol)
     return vals
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expi, gammaln
 
 from . import quadrature
 from .errors import (
@@ -176,7 +174,7 @@ class PowerLawExpWeight:
         ns = np.arange(n, dtype=float)
         alpha = sc * (2 * ns + 1 + s)
         beta = np.empty(n)
-        beta[0] = self.c * sc ** (s + 1) * math.exp(gammaln(s + 1))
+        beta[0] = self.c * sc ** (s + 1) * math.gamma(s + 1)
         m = ns[1:]
         beta[1:] = sc * sc * m * (m + s)
         return alpha, beta
@@ -184,6 +182,10 @@ class PowerLawExpWeight:
     def reducer(self, x):
         if self.s < 0 or abs(self.s - round(self.s)) > 1e-12:
             return None
+        # Imported on first use: a chaincast run that needs no scipy routine
+        # starts with numpy alone.
+        from scipy.special import expi
+
         s = int(round(self.s))
         y = np.asarray(x, float) / self.scale
         acc = y**s * np.exp(-y) * expi(y)
@@ -664,6 +666,10 @@ def sd_from_dispersion(g: Callable, h: Callable, k_min: float, k_max: float,
             return k_max
         if f_lo * f_hi > 0:
             raise InversionFailure(f"no bracket for g(k) = {w}")
+        # Imported on first use: a chaincast run that needs no scipy routine
+        # starts with numpy alone.
+        from scipy.optimize import brentq
+
         return brentq(f, k_min, k_max, xtol=1e-15, rtol=8.9e-16)
 
     dk = (k_max - k_min) * 1e-7

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import EigenFailure, IllConditioned, IndexOutOfRange
 from .measures import Measure
@@ -244,6 +243,10 @@ def gauss_rule(rc: RecurrenceCoefficients, n: int) -> GaussRule:
     """
     if not 0 < n <= rc.n:
         raise IndexOutOfRange(f"rule size {n} outside 1..{rc.n}")
+    # Imported on first use: a chaincast run that needs no scipy routine
+    # starts with numpy alone.
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         vals, vecs = eigh_tridiagonal(rc.alpha[:n], np.sqrt(rc.beta[1:n]))
     except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover

@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "nodes",
     "refinement",
-    "integrate_fixed",
     "integrate",
     "tail_cutoff",
 ]
@@ -107,18 +106,6 @@ def map_nodes(level: int, a: float, b: float):
     db = half * dr
     x = np.where(dl <= dr, a + da, b - db)
     return x, da, db, w * half
-
-
-def integrate_fixed(f: Callable, a: float, b: float, level: int,
-                    with_distances: bool = False) -> float | complex:
-    """Integrate f over [a, b] with the fixed-level tanh-sinh rule.
-
-    When ``with_distances`` is set, f is called as ``f(x, dist_a, dist_b)``
-    so integrands singular at an endpoint can use the exact offsets.
-    """
-    x, da, db, w = map_nodes(level, a, b)
-    vals = f(x, da, db) if with_distances else f(x)
-    return np.sum(vals * w)
 
 
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .chainmap import measure_from_sd
 from .errors import GappedMeasure, UnsupportedMapping
-from .measures import Measure, SpectralDensity, custom_sd
+from .measures import Measure, SpectralDensity
 from .orthopoly import recurrence_coefficients
 from .secondary import SecondarySequence
 from .stieltjes import evaluation_band
@@ -103,10 +103,6 @@ class ResidualDensity:
         if n == 0:
             return self.seq.base
         return self.seq.member_measure(n)
-
-    def as_spectral_density(self, n: int) -> SpectralDensity:
-        lo, hi = self.clipped_range()
-        return custom_sd(lambda w: self(n, w), ((lo, hi),))
 
 
 def _tail_cut(J: SpectralDensity, drop: float = 1e-12) -> float:

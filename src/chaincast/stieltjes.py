@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import quadrature
 from .errors import (
@@ -93,9 +92,13 @@ def stieltjes_transform(m: Measure, z: complex) -> complex:
             if lo - guard <= x <= hi + guard:
                 raise PoleTooClose(f"z={x} within guard distance of [{lo}, {hi}]")
     total = 0.0 + 0.0j
+    rel_tol = 1e-13
     for lo, hi in m._effective_intervals(0):
-        val, _ = quadrature.integrate(lambda t: m.weight(t) / (z - t), lo, hi,
-                                      rel_tol=1e-13)
+        val, ok = quadrature.integrate(lambda t: m.weight(t) / (z - t), lo, hi,
+                                       rel_tol=rel_tol)
+        if not ok:
+            _log.warning("stieltjes_transform: quadrature not converged on "
+                         "[%r, %r] at rel_tol %g", lo, hi, rel_tol)
         total += val
     for pm in m.point_masses:
         total += pm.mass / (z - pm.location)
@@ -330,6 +333,10 @@ def find_gap_zero(m: Measure, gap_index: int = 0):
         raise BracketFailure(
             f"no sign change of S found in gap ({b}, {c}); this should not "
             "happen for a positive measure")
+    # Imported on first use: a chaincast run that needs no scipy routine
+    # starts with numpy alone.
+    from scipy.optimize import brentq
+
     return float(brentq(s_real, lo, hi, xtol=1e-14 * max(1.0, abs(c)), rtol=8.9e-16))
 
 

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +186,87 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["E3"]) == float(rows[0]["E4"])
         assert "E5=0.36514837167011072" in meta
+
+
+# Runs in a fresh interpreter (the test process has scipy loaded already):
+# each config is passed through `cli.main`, then the loaded scipy modules
+# are listed.  Prints one JSON list of per-config results.
+_STARTUP_CHILD = """
+import contextlib, io, json, sys
+from chaincast import cli
+results = []
+for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--config", config, "--out-dir", out])
+    results.append({"code": code, "stderr": err.getvalue(),
+                    "scipy": sorted(m for m in sys.modules
+                                    if m.split(".")[0] == "scipy")})
+print(json.dumps(results))
+"""
+
+_STARTUP_CONFIGS = {
+    "power_law_q0_report": {
+        "spectral_density": {"family": "power_law", "s": 1, "alpha": 0.1,
+                             "omega_c": 1.0},
+        "mapping_q": 0, "sites": 10, "residual_orders": [1, 2, 3],
+        "grid": {"points": 32}},
+    "power_law_q1": {
+        "spectral_density": {"family": "power_law", "s": 2, "alpha": 0.1,
+                             "omega_c": 1.5},
+        "mapping_q": 1, "sites": 10},
+    "exp_cutoff_q0": {
+        "spectral_density": {"family": "power_law_exp_cutoff", "s": 1.3,
+                             "alpha": 0.1, "omega_c": 1.0},
+        "mapping_q": 0, "sites": 10},
+    # Last: its gap zero needs brentq, which loads scipy.optimize.
+    "gapped_piecewise_q0": {
+        "spectral_density": {"family": "piecewise",
+                             "intervals": [[0, 1, 1.0], [2, 3, 1.0]]},
+        "mapping_q": 0, "sites": 6, "residual_orders": [1]},
+}
+
+
+@pytest.fixture(scope="module")
+def startup_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("startup")
+    argv = []
+    for name, payload in _STARTUP_CONFIGS.items():
+        (root / name).mkdir()
+        argv += [write_config(root / name / "job.json", payload),
+                 str(root / name)]
+    src = str(Path(cc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_CHILD, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    results = json.loads(proc.stdout.strip().splitlines()[-1])
+    return root, dict(zip(_STARTUP_CONFIGS, results))
+
+
+class TestStartupImports:
+    """`chaincast run` loads scipy only where a job needs a scipy routine."""
+
+    @pytest.mark.parametrize("name", ["power_law_q0_report", "power_law_q1",
+                                      "exp_cutoff_q0"])
+    def test_run_without_scipy(self, startup_runs, name):
+        root, results = startup_runs
+        res = results[name]
+        assert res["code"] == cli.EXIT_OK, res["stderr"]
+        assert res["scipy"] == []
+        assert (root / name / "report.json").exists()
+
+    def test_residuals_and_report_ran(self, startup_runs):
+        out = startup_runs[0] / "power_law_q0_report"
+        with open(out / "residual.csv") as fh:
+            fh.readline()
+            assert fh.readline().strip() == "omega,J0,J1,J2,J3"
+        report = json.loads((out / "report.json").read_text())
+        assert report["moment_gaps"]
+
+    def test_gap_zero_loads_brentq_lazily(self, startup_runs):
+        _, results = startup_runs
+        res = results["gapped_piecewise_q0"]
+        assert res["code"] == cli.EXIT_UNSUPPORTED
+        assert "z0=1.5" in res["stderr"]
+        assert "scipy.optimize" in res["scipy"]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,18 @@ class TestMoments:
         m = cc.power_law_exp_measure(1.0, 1.0)
         vals = cc.moments(m, 2).values
         assert vals == pytest.approx([1.0, 2.0, 6.0], rel=1e-12)
+
+    # c = scale = 1 leaves only the error of Gamma(s + 1); a general
+    # prefactor c * scale**(s + 1) adds up to three roundings of its own.
+    @pytest.mark.parametrize("c, scale, max_ulps", [(1.0, 1.0, 4), (0.3, 1.7, 6)])
+    def test_laguerre_beta0_matches_mpmath(self, c, scale, max_ulps):
+        for s in np.arange(0.0, 60.25, 0.25):
+            got = cc.PowerLawExpWeight(c, s, scale).recurrence(1)[1][0]
+            with mpmath.workdps(50):
+                exact = (mpmath.mpf(c) * mpmath.mpf(scale) ** (s + 1)
+                         * mpmath.gamma(mpmath.mpf(s) + 1))
+                ulps = abs(mpmath.mpf(got) - exact) / math.ulp(float(exact))
+            assert ulps <= max_ulps, (s, float(ulps))
 
     def test_unbounded_without_tail_raises(self):
         m = cc.Measure(lambda x: np.exp(-x), ((0.0, math.inf),))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -120,3 +121,53 @@ class TestVectorIntegrand:
         assert ok
         for z, g in zip(zs, got):
             assert g == cc.stieltjes_transform(m, z)
+
+
+# Callers of `integrate` that report its converged flag: each logs one
+# warning per unconverged integral on its module's logger, and returns the
+# same numbers either way.
+_FLAG_CALLERS = {
+    "stieltjes_transform": (
+        "chaincast.stieltjes", 1,
+        lambda: cc.stieltjes_transform(cc.semicircle_measure(), 0.3 + 0.5j)),
+    "szego_check": (
+        "chaincast.convergence", 5,
+        lambda: cc.szego_check(cc.power_law_sd(1.0, 0.1, 1.0), 0.0).integral),
+    "convergence_report": (
+        "chaincast.convergence", 1,
+        lambda: cc.convergence_report(cc.power_law_sd(1.0, 0.1, 1.0), 0.0, 6,
+                                      residual_orders=2, moment_order=2,
+                                      ).terminal_moment_gap),
+    "bassano_coefficients": (
+        "chaincast.chainmap", 1,
+        lambda: cc.bassano_coefficients(cc.power_law_sd(1.0, 0.1, 1.0), 5)),
+}
+
+
+class TestConvergenceFlagsLogged:
+    @staticmethod
+    def _warnings(caplog, logger, name):
+        return [r.getMessage() for r in caplog.records
+                if r.name == logger and r.levelno == logging.WARNING
+                and r.getMessage().startswith(name + ":")]
+
+    @pytest.mark.parametrize("name", sorted(_FLAG_CALLERS))
+    def test_unconverged_integral_warns(self, monkeypatch, caplog, name):
+        logger, count, call = _FLAG_CALLERS[name]
+        expected = call()
+        real = quadrature.integrate
+        monkeypatch.setattr(quadrature, "integrate",
+                            lambda *a, **k: (real(*a, **k)[0], False))
+        with caplog.at_level(logging.WARNING, logger="chaincast"):
+            got = call()
+        messages = self._warnings(caplog, logger, name)
+        assert len(messages) == count
+        assert all("not converged on [" in m and "rel_tol" in m for m in messages)
+        np.testing.assert_equal(got, expected)
+
+    @pytest.mark.parametrize("name", sorted(_FLAG_CALLERS))
+    def test_converged_call_logs_nothing(self, caplog, name):
+        logger, _, call = _FLAG_CALLERS[name]
+        with caplog.at_level(logging.WARNING, logger="chaincast"):
+            call()
+        assert self._warnings(caplog, logger, name) == []
