@@ -30,7 +30,6 @@ from .errors import (
     ZeroMass,
 )
 from .measures import (
-    FamilyTag,
     Measure,
     MomentSequence,
     PointMass,
@@ -62,7 +61,6 @@ from .orthopoly import (
     recurrence_coefficients,
 )
 from .stieltjes import (
-    ReducerEvaluator,
     find_gap_zero,
     pade_defect,
     perron_invert,
@@ -73,12 +71,10 @@ from .secondary import (
     SecondarySequence,
     secondary_density,
     secondary_moments,
-    sequence_density,
 )
 from .chainmap import (
     ChainCoefficients,
     MappingKernel,
-    associated_jacobi,
     bassano_coefficients,
     chain_coefficients,
     mapping_kernel,

@@ -33,7 +33,6 @@ __all__ = [
     "mapping_kernel",
     "measure_from_sd",
     "chain_coefficients",
-    "associated_jacobi",
     "bassano_coefficients",
 ]
 
@@ -93,10 +92,6 @@ class MappingKernel:
         """ln xi_q; diverges to -inf at x = 0 for q > 0."""
         out = np.log(np.asarray(self.xi(x), float))
         return out if out.ndim else float(out)
-
-    def support_left(self) -> float:
-        """G_q(0), the image of a massless band edge (negative for 0<q<1)."""
-        return -self.q * (1.0 - self.q) / (4.0 * (1.0 + self.q))
 
 
 def mapping_kernel(q: float) -> MappingKernel:
@@ -222,15 +217,7 @@ def chain_coefficients(J: SpectralDensity, q: float, n: int,
     )
 
 
-def associated_jacobi(rc: RecurrenceCoefficients, offset: int) -> RecurrenceCoefficients:
-    """The offset-th associated Jacobi matrix: first `offset` rows and columns
-    crossed out.  Its beta_0 slot holds beta_offset of the parent, which is
-    the mass of the offset-th beta-normalized member."""
-    return rc.shifted(offset)
-
-
-def bassano_coefficients(J: SpectralDensity, n: int,
-                         method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+def bassano_coefficients(J: SpectralDensity, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Iterated-propagator chain data (D_n^2, Omega_{n+1}^2), n = 0..N-1.
 
     Computed as beta_n and alpha_n of the phonon measure d-lambda^1; D_0^2
@@ -241,7 +228,7 @@ def bassano_coefficients(J: SpectralDensity, n: int,
             "the iterated-propagator construction requires gapless J "
             "(its Stieltjes relation breaks inside a gap)")
     m = measure_from_sd(J, 1.0)
-    rc = recurrence_coefficients(m, max(n, 1), method=method)
+    rc = recurrence_coefficients(m, max(n, 1))
     d_sq = rc.beta[:n].copy()
     omega_sq = rc.alpha[:n].copy()
 

@@ -32,7 +32,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,6 @@ _TOP_KEYS = {"spectral_density", "mapping_q", "sites", "residual_orders",
 @dataclass(frozen=True)
 class JobConfig:
     sd: SpectralDensity
-    sd_spec: dict
     mapping_q: float
     sites: int
     residual_orders: tuple[int, ...]
@@ -82,7 +81,6 @@ class JobConfig:
     chain_csv: str
     residual_csv: str
     report_json: str
-    warnings: tuple[str, ...] = field(default=())
 
 
 def _require(cond: bool, fld: str, reason: str) -> None:
@@ -211,7 +209,7 @@ def validate(path: str | Path, q_override: float | None = None,
         return str(p if p.is_absolute() else base / p)
 
     return JobConfig(
-        sd=sd, sd_spec=raw["spectral_density"], mapping_q=q, sites=sites,
+        sd=sd, mapping_q=q, sites=sites,
         residual_orders=tuple(sorted(set(orders))),
         grid_points=points, grid_range=grange,
         chain_csv=resolve("chain_csv", "chain.csv"),
@@ -261,9 +259,12 @@ def _write_residual_csv(path: str, grid, columns: dict[int, np.ndarray],
 
 def run(config: JobConfig) -> int:
     """Execute a validated job; returns the process exit code."""
-    warnings = list(config.warnings)
-    for out in (config.chain_csv, config.residual_csv, config.report_json):
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
+    warnings: list[str] = []
+    # A job that fails part-way must not leave an earlier job's outputs
+    # beside its own.
+    for out in map(Path, (config.chain_csv, config.residual_csv, config.report_json)):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.unlink(missing_ok=True)
     try:
         cc = chain_coefficients(config.sd, config.mapping_q, config.sites)
     except (IllConditioned, DivergentMoment) as exc:

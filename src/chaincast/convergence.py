@@ -93,6 +93,10 @@ def asymptotic_limits(J: SpectralDensity, q: float) -> tuple[float, float]:
     verdict = szego_check(J, q)
     if not verdict.in_class:
         raise NotInSzegoClass(str(verdict))
+    return _limits(J, q)
+
+
+def _limits(J: SpectralDensity, q: float) -> tuple[float, float]:
     kernel = mapping_kernel(q)
     lo, hi = J.hull
     g_lo, g_hi = kernel.G(lo), kernel.G(hi)
@@ -107,6 +111,11 @@ def terminal_sd(J: SpectralDensity, q: int) -> SpectralDensity:
     verdict = szego_check(J, q)
     if not verdict.in_class:
         raise NotInSzegoClass(str(verdict))
+    return _terminal(J, q)
+
+
+def _terminal(J: SpectralDensity, q: int) -> SpectralDensity:
+    """terminal_sd without the Szego check, for callers that made it."""
     lo, hi = J.hull
     if q == 0:
         fam = SemicircleWeight(0.5, lo, hi)
@@ -172,8 +181,8 @@ def _density_moments(densities, lo: float, hi: float, k_max: int) -> np.ndarray:
 
 
 def convergence_report(J: SpectralDensity, q: float, n: int,
-                       residual_orders: int = 4, moment_order: int = 8,
-                       method: str = "auto") -> ConvergenceReport:
+                       residual_orders: int = 4,
+                       moment_order: int = 8) -> ConvergenceReport:
     """Assemble coefficients, Szego verdict, limits and moment gaps.
 
     Moment gaps compare int w^k J_m(w) dw with the terminal density's
@@ -184,7 +193,7 @@ def convergence_report(J: SpectralDensity, q: float, n: int,
     every J_m once per node, so the reducer runs once per quadrature level.
     """
     verdict = szego_check(J, q)
-    cc = chain_coefficients(J, q, n, method=method)
+    cc = chain_coefficients(J, q, n)
     alpha, beta = cc.alpha, cc.beta
     ratio = alpha / cc.E4
 
@@ -192,15 +201,12 @@ def convergence_report(J: SpectralDensity, q: float, n: int,
         return ConvergenceReport(szego=verdict, q=q, alpha=alpha, beta=beta,
                                  hopping_ratio=ratio)
 
-    kernel = mapping_kernel(q)
-    lo, hi = J.hull
-    a_inf = 0.5 * (kernel.G(hi) + kernel.G(lo))
-    b_inf = (kernel.G(hi) - kernel.G(lo)) ** 2 / 16.0
+    a_inf, b_inf = _limits(J, q)
     gaps: dict[int, np.ndarray] = {}
     if q in (0.0, 1.0) and residual_orders >= 1:
         orders = min(residual_orders, 6)
         rd = ResidualDensity.build(J, int(q), orders)
-        jt = terminal_sd(J, int(q))
+        jt = _terminal(J, int(q))
         glo, ghi = rd.clipped_range()
         densities = [jt] + [lambda w, m=m: rd(m, w) for m in range(1, orders + 1)]
         c = _density_moments(densities, glo, ghi, moment_order)

@@ -14,7 +14,7 @@ evaluation at the support endpoints (clip/return 0 rather than raise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "SemicircleWeight",
     "Measure",
     "MomentSequence",
-    "FamilyTag",
     "SpectralDensity",
     "power_law_sd",
     "power_law_exp_sd",
@@ -507,14 +506,6 @@ def power_law_exp_measure(c: float, s: float, scale: float = 1.0) -> Measure:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FamilyTag:
-    kind: str  # "power_law" | "power_law_exp_cutoff" | "tabulated" | "custom"
-    s: float | None = None
-    alpha: float | None = None
-    omega_c: float | None = None
-
-
-@dataclass(frozen=True)
 class SpectralDensity:
     """Bath spectral density J(w): nonnegative on its support, 0 outside.
 
@@ -528,7 +519,6 @@ class SpectralDensity:
     support: Intervals
     endpoint_exponents: tuple[tuple[float, float], ...] = ()
     tail: TailBound | None = None
-    family_tag: FamilyTag = field(default_factory=lambda: FamilyTag("custom"))
     m0_family: WeightFamily | None = None
     m1_family: WeightFamily | None = None
 
@@ -570,7 +560,6 @@ def power_law_sd(s: float, alpha: float, omega_c: float = 1.0) -> SpectralDensit
     fam = PowerLawWeight(2.0 * math.pi * alpha * omega_c ** (1 - s), s, omega_c)
     coeff = 2.0 * alpha * omega_c ** (1 - s)
     return SpectralDensity(fam.weight, ((0.0, omega_c),), ((s, 0.0),),
-                           family_tag=FamilyTag("power_law", s, alpha, omega_c),
                            m0_family=PowerLawWeight(coeff, s, omega_c),
                            m1_family=PowerLawWeight(coeff, s / 2.0, omega_c**2))
 
@@ -584,7 +573,6 @@ def power_law_exp_sd(s: float, alpha: float, omega_c: float = 1.0) -> SpectralDe
     fam = PowerLawExpWeight(2.0 * math.pi * alpha * omega_c ** (1 - s), s, omega_c)
     return SpectralDensity(fam.weight, ((0.0, math.inf),), ((s, 0.0),),
                            tail=fam.tail(),
-                           family_tag=FamilyTag("power_law_exp_cutoff", s, alpha, omega_c),
                            m0_family=PowerLawExpWeight(
                                2.0 * alpha * omega_c ** (1 - s), s, omega_c))
 
@@ -601,8 +589,7 @@ def tabulated_sd(omega: Sequence[float], values: Sequence[float]) -> SpectralDen
         raise DomainError("tabulated spectral density must be nonnegative")
     return SpectralDensity(
         lambda w: np.interp(np.asarray(w, float), omega, values),
-        ((float(omega[0]), float(omega[-1])),),
-        family_tag=FamilyTag("tabulated"))
+        ((float(omega[0]), float(omega[-1])),))
 
 
 def piecewise_uniform_sd(pieces: Sequence[tuple[float, float, float]]) -> SpectralDensity:
@@ -619,13 +606,13 @@ def piecewise_uniform_sd(pieces: Sequence[tuple[float, float, float]]) -> Spectr
             out = np.where((w >= lo) & (w <= hi), h, out)
         return out
 
-    return SpectralDensity(evaluator, support, family_tag=FamilyTag("custom"))
+    return SpectralDensity(evaluator, support)
 
 
 def custom_sd(evaluator: Callable, support: Intervals,
               endpoint_exponents=(), tail: TailBound | None = None) -> SpectralDensity:
     return SpectralDensity(evaluator, tuple(support), tuple(endpoint_exponents),
-                           tail=tail, family_tag=FamilyTag("custom"))
+                           tail=tail)
 
 
 def sd_from_dispersion(g: Callable, h: Callable, k_min: float, k_max: float,
@@ -685,5 +672,4 @@ def sd_from_dispersion(g: Callable, h: Callable, k_min: float, k_max: float,
         return math.pi * float(h(k)) ** 2 / abs(gprime(k))
 
     evaluator = np.vectorize(evaluator_scalar, otypes=[float])
-    return SpectralDensity(evaluator, ((w_lo, w_hi),),
-                           family_tag=FamilyTag("custom"))
+    return SpectralDensity(evaluator, ((w_lo, w_hi),))

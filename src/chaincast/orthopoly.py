@@ -62,20 +62,11 @@ class RecurrenceCoefficients:
         return RecurrenceCoefficients(self.alpha[offset:], self.beta[offset:],
                                       self.source_support)
 
-    def truncated(self, n: int) -> "RecurrenceCoefficients":
-        if not 0 < n <= self.n:
-            raise IndexOutOfRange(f"cannot truncate length {self.n} to {n}")
-        return RecurrenceCoefficients(self.alpha[:n], self.beta[:n],
-                                      self.source_support)
-
 
 @dataclass(frozen=True)
 class GaussRule:
     nodes: np.ndarray
     weights: np.ndarray
-
-    def apply(self, f) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
 
 
 def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, n: int):

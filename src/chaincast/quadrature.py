@@ -109,8 +109,7 @@ def map_nodes(level: int, a: float, b: float):
 
 
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
-              with_distances: bool = False,
-              min_level: int = MIN_LEVEL, max_level: int = MAX_LEVEL):
+              with_distances: bool = False, max_level: int = MAX_LEVEL):
     """Integrate f over [a, b], halving the step until two consecutive
     levels agree to ``rel_tol``.  An absolute floor proportional to the
     integrand's L1 mass keeps exactly-cancelling integrals (odd moments of
@@ -131,12 +130,12 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     def call(x, da, db):
         return np.asarray(f(x, da, db) if with_distances else f(x))
 
-    x, da, db, w = map_nodes(min_level, a, b)
+    x, da, db, w = map_nodes(MIN_LEVEL, a, b)
     vals = call(x, da, db)
     prev = np.sum(vals * w, axis=-1)
     value = prev
     done = np.zeros(np.shape(prev), bool)
-    for level in range(min_level + 1, max_level + 1):
+    for level in range(MIN_LEVEL + 1, max_level + 1):
         x, da, db, w = map_nodes(level, a, b)
         old, carried, new = refinement(level)
         fresh = call(x[new], da[new], db[new])

@@ -47,18 +47,14 @@ class ResidualDensity:
     order: int
 
     @classmethod
-    def build(cls, J: SpectralDensity, q: int, order: int,
-              rc_method: str = "auto", reducer_method: str = "auto",
-              ) -> "ResidualDensity":
+    def build(cls, J: SpectralDensity, q: int, order: int) -> "ResidualDensity":
         if q not in (0, 1):
             raise UnsupportedMapping(
                 f"residual spectral densities exist only for q in {{0, 1}}, got {q}")
         if not J.gapless:
             raise GappedMeasure("residual densities require a gapless spectral density")
         lam = measure_from_sd(J, float(q))
-        seq = SecondarySequence.build(lam, order, mode="beta_normalized",
-                                      rc_method=rc_method,
-                                      reducer_method=reducer_method)
+        seq = SecondarySequence.build(lam, order, mode="beta_normalized")
         return cls(base=J, q=q, seq=seq, order=order)
 
     def __call__(self, n: int, omega):
@@ -117,16 +113,14 @@ def _tail_cut(J: SpectralDensity, drop: float = 1e-12) -> float:
     return float(grid[above[-1]]) if len(above) else hi
 
 
-def residual_sd(J: SpectralDensity, q: int, n: int, omega,
-                rc_method: str = "auto", reducer_method: str = "auto"):
+def residual_sd(J: SpectralDensity, q: int, n: int, omega):
     """J_n(omega) for one embedding depth; builds the evaluator per call.
 
     Prefer ResidualDensity.build when sampling many orders or points.
     """
     if n == 0:
         return J(omega)
-    rd = ResidualDensity.build(J, q, n, rc_method=rc_method,
-                               reducer_method=reducer_method)
+    rd = ResidualDensity.build(J, q, n)
     return rd(n, omega)
 
 

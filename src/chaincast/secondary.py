@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    EndpointEvaluation,
     GappedMeasure,
     IndexOutOfRange,
     InsufficientMoments,
@@ -36,12 +35,11 @@ from .orthopoly import (
     recurrence_coefficients,
     secondary_table,
 )
-from .stieltjes import GUARD_FRACTION, ReducerEvaluator, evaluation_band
+from .stieltjes import GUARD_FRACTION, reducer
 
 __all__ = [
     "SecondarySequence",
     "secondary_density",
-    "sequence_density",
     "secondary_moments",
 ]
 
@@ -58,7 +56,6 @@ class SecondarySequence:
 
     base: Measure
     rc: RecurrenceCoefficients
-    reducer: ReducerEvaluator
     mode: str
     # (x, phi) of the last reducer call: the members are usually sampled
     # order by order on one grid, and phi is the same for all of them.
@@ -66,9 +63,8 @@ class SecondarySequence:
                             compare=False)
 
     @classmethod
-    def build(cls, measure: Measure, order: int, mode: str = "normalized",
-              rc_method: str = "auto", reducer_method: str = "auto",
-              ) -> "SecondarySequence":
+    def build(cls, measure: Measure, order: int,
+              mode: str = "normalized") -> "SecondarySequence":
         """Prepare a sequence supporting members 1..order."""
         if mode not in ("normalized", "beta_normalized"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -79,9 +75,8 @@ class SecondarySequence:
         if measure.point_masses:
             raise UnsupportedMeasure("secondary sequences assume a pure density")
         base = normalize(measure) if mode == "normalized" else measure
-        rc = recurrence_coefficients(base, order + 1, method=rc_method)
-        return cls(base=base, rc=rc,
-                   reducer=ReducerEvaluator(base, reducer_method), mode=mode)
+        rc = recurrence_coefficients(base, order + 1)
+        return cls(base=base, rc=rc, mode=mode)
 
     @property
     def order(self) -> int:
@@ -108,7 +103,7 @@ class SecondarySequence:
         memo = self._phi_memo
         if memo and np.array_equal(memo[0], xs):
             return memo[1]
-        phi = np.asarray(self.reducer(xs), float)
+        phi = np.asarray(reducer(self.base, xs), float)
         memo[:] = [xs.copy(), phi]
         return phi
 
@@ -142,21 +137,16 @@ class SecondarySequence:
         )
 
 
-def secondary_density(m: Measure, x, reducer_method: str = "auto"):
+def secondary_density(m: Measure, x):
     """Weight of the secondary measure of a normalized gapless measure:
     rho(x) = mu(x) / (phi^2/4 + pi^2 mu^2).  Carries mass beta_1(d mu)."""
     if not m.gapless:
         raise GappedMeasure("secondary measure undefined for gapped measures")
     xs = np.atleast_1d(np.asarray(x, float))
     mu = np.asarray(m.weight(xs), float)
-    phi = np.asarray(ReducerEvaluator(m, reducer_method)(xs), float)
+    phi = np.asarray(reducer(m, xs), float)
     vals = mu / (phi * phi / 4.0 + math.pi**2 * mu * mu)
     return vals if np.ndim(x) else float(vals[0])
-
-
-def sequence_density(seq: SecondarySequence, n: int, x):
-    """Functional form of SecondarySequence.density."""
-    return seq.density(n, x)
 
 
 def secondary_moments(c: MomentSequence | np.ndarray, n: int) -> MomentSequence:
@@ -180,11 +170,3 @@ def secondary_moments(c: MomentSequence | np.ndarray, n: int) -> MomentSequence:
             acc -= rho[s] * vals[k - s]
         rho[k] = acc
     return MomentSequence(rho)
-
-
-def guard_band(m: Measure) -> tuple[float, float]:
-    """Interior evaluation range shared by reducer and sequence densities."""
-    lo, hi = evaluation_band(m)
-    if math.isinf(hi):
-        raise EndpointEvaluation("guard band undefined for unbounded support")
-    return lo, hi

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .orthopoly import RecurrenceCoefficients, orthonormal_table
 
 __all__ = [
     "GUARD_FRACTION",
-    "ReducerEvaluator",
     "stieltjes_transform",
     "reducer",
     "perron_invert",
@@ -103,35 +101,6 @@ def stieltjes_transform(m: Measure, z: complex) -> complex:
     for pm in m.point_masses:
         total += pm.mass / (z - pm.location)
     return total
-
-
-@dataclass(frozen=True)
-class ReducerEvaluator:
-    """Callable reducer bound to a measure.
-
-    method: "auto" | "analytic" | "lipschitz" | "derivative".  "auto" takes
-    the family closed form when one exists, otherwise the Lipschitz route.
-    """
-
-    measure: Measure
-    method: str = "auto"
-
-    def __post_init__(self):
-        if self.method not in ("auto", "analytic", "lipschitz", "derivative"):
-            raise ValueError(f"unknown reducer method {self.method!r}")
-        if not self.measure.gapless:
-            raise GappedMeasure("reducer requires a gapless measure")
-
-    def resolved_method(self) -> str:
-        if self.method == "auto":
-            fam = self.measure.family
-            if fam is not None and fam.reducer(np.array([])) is not None:
-                return "analytic"
-            return "lipschitz"
-        return self.method
-
-    def __call__(self, x):
-        return reducer(self.measure, x, method=self.method)
 
 
 def _check_interior(m: Measure, x: np.ndarray) -> None:
@@ -240,7 +209,12 @@ def _reducer_derivative_form(m: Measure, x: np.ndarray) -> np.ndarray:
 
 
 def reducer(m: Measure, x, method: str = "auto"):
-    """phi(d-mu; x) at interior points of a gapless measure's support."""
+    """phi(d-mu; x) at interior points of a gapless measure's support.
+
+    method "auto" takes the family closed form when the measure has one,
+    otherwise the Lipschitz route; "lipschitz" and "derivative" force a
+    generic route.
+    """
     if not m.gapless:
         raise GappedMeasure("reducer requires a gapless measure")
     if m.point_masses:
@@ -248,25 +222,16 @@ def reducer(m: Measure, x, method: str = "auto"):
     xs = np.atleast_1d(np.asarray(x, float))
     _check_interior(m, xs)
     if method == "auto":
-        method = ReducerEvaluator(m, "auto").resolved_method()
-    if method == "analytic":
-        if m.family is None:
-            raise UnsupportedMeasure("no analytic family attached")
-        vals = m.family.reducer(xs)
+        vals = m.family.reducer(xs) if m.family is not None else None
         if vals is None:
-            raise UnsupportedMeasure(
-                f"family {m.family!r} has no closed-form reducer")
-    elif method == "lipschitz":
+            method = "lipschitz"
+    if method in ("lipschitz", "derivative"):
         if not m.bounded:
             raise UnsupportedMeasure(
                 "numeric reducer needs bounded support; use an analytic family")
-        vals = _reducer_lipschitz(m, xs)
-    elif method == "derivative":
-        if not m.bounded:
-            raise UnsupportedMeasure(
-                "numeric reducer needs bounded support; use an analytic family")
-        vals = _reducer_derivative_form(m, xs)
-    else:
+        route = _reducer_lipschitz if method == "lipschitz" else _reducer_derivative_form
+        vals = route(m, xs)
+    elif method != "auto":
         raise ValueError(f"unknown reducer method {method!r}")
     vals = np.asarray(vals, float)
     return vals if np.ndim(x) else float(vals[0])
@@ -360,22 +325,3 @@ def pade_defect(m: Measure, rc: RecurrenceCoefficients, n: int, z: float,
     p_z = orthonormal_table(rc, k, np.asarray(z, float))[k]
     q_over_p_remainder = series / float(p_z)
     return z ** (2 * n + 3) * q_over_p_remainder
-
-
-def secondary_polynomial_by_quadrature(m: Measure, rc: RecurrenceCoefficients,
-                                       n: int, x, rule_size: int | None = None):
-    """Q_n(x) from its defining integral, via the measure's Gauss rule.
-
-    Oracle used to validate the recurrence seed Q_1 = sqrt(beta_0)/t_0;
-    the integrand is a degree-(n-1) polynomial in t, integrated exactly by
-    a rule of size >= n.
-    """
-    from .orthopoly import gauss_rule
-
-    rule = gauss_rule(rc, rule_size or min(rc.n, 2 * n + 2))
-    x = np.atleast_1d(np.asarray(x, float))
-    pt = orthonormal_table(rc, n, rule.nodes)[n]
-    px = orthonormal_table(rc, n, x)[n]
-    diff = rule.nodes[None, :] - x[:, None]
-    vals = ((pt[None, :] - px[:, None]) / diff) @ rule.weights
-    return vals if np.ndim(x) else float(vals[0])

@@ -120,16 +120,18 @@ def test_criterion_06_semicircle_fixed_point_and_reducer():
     """One secondary+normalize step fixes the semicircle; reducer is 4x."""
     sc = cc.semicircle_measure()
     plain = cc.Measure(sc.weight, sc.support, sc.endpoint_exponents)
+    # no family attached: "auto" below is the Lipschitz route
+    assert plain.family is None
     xs = np.linspace(-0.95, 0.95, 77)
 
     phi = cc.reducer(plain, xs, method="lipschitz")
     assert float(np.max(np.abs(phi - 4 * xs))) < 1e-9
 
-    rho = cc.secondary_density(plain, xs, reducer_method="lipschitz")
+    rho = cc.secondary_density(plain, xs)
     lo, hi = plain.hull
     guard = 1e-12 * (hi - lo)
     mass, _ = cc.quadrature.integrate(
-        lambda t: cc.secondary_density(plain, t, reducer_method="lipschitz"),
+        lambda t: cc.secondary_density(plain, t),
         lo + guard, hi - guard, rel_tol=1e-12)
     sup_dev = float(np.max(np.abs(rho / mass - plain.weight(xs))))
     assert sup_dev < 1e-9

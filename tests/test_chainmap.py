@@ -146,19 +146,19 @@ class TestChainCoefficients:
 class TestAssociatedJacobi:
     def test_offset_zero_is_identity(self, weight_x):
         rc = cc.recurrence_coefficients(weight_x, 6)
-        view = cc.associated_jacobi(rc, 0)
+        view = rc.shifted(0)
         np.testing.assert_array_equal(view.alpha, rc.alpha)
         np.testing.assert_array_equal(view.beta, rc.beta)
 
     def test_semicircle_translation_invariance(self, semicircle):
         rc = cc.recurrence_coefficients(semicircle, 8)
-        view = cc.associated_jacobi(rc, 1)
+        view = rc.shifted(1)
         np.testing.assert_allclose(view.alpha, rc.alpha[1:], atol=1e-14)
         np.testing.assert_allclose(view.beta, rc.beta[1:], rtol=1e-14)
 
     def test_ohmic_offset_view(self, weight_x):
         rc = cc.recurrence_coefficients(weight_x, 6)
-        view = cc.associated_jacobi(rc, 1)
+        view = rc.shifted(1)
         assert view.alpha[0] == pytest.approx(0.5 * (1 + 1 / 15), rel=1e-13)
         # beta_0 slot of the view carries beta_1 of the parent (member mass)
         assert view.beta[0] == pytest.approx(1 / 18, rel=1e-13)

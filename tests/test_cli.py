@@ -127,6 +127,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert "z0=1.5" in err
 
+    def test_failed_run_leaves_no_stale_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        flat = write_config(tmp_path / "flat.json", {
+            "spectral_density": {"family": "piecewise",
+                                 "intervals": [[0, 1, 1.0]]},
+            "mapping_q": 0, "sites": 6, "residual_orders": [1],
+            "grid": {"points": 8}})
+        assert cli.main(["run", "--config", flat, "--out-dir", str(out)]) \
+            == cli.EXIT_OK
+        gapped = write_config(tmp_path / "gapped.json", {
+            "spectral_density": {"family": "piecewise",
+                                 "intervals": [[0, 1, 1.0], [2, 3, 1.0]]},
+            "mapping_q": 0, "sites": 6, "residual_orders": [1]})
+        assert cli.main(["run", "--config", gapped, "--out-dir", str(out)]) \
+            == cli.EXIT_UNSUPPORTED
+        assert "[0,1];[2,3]" in (out / "chain.csv").read_text().splitlines()[0]
+        assert not (out / "residual.csv").exists()
+        assert not (out / "report.json").exists()
+
     def test_gapped_without_residuals_succeeds(self, tmp_path):
         path = write_config(tmp_path / "job.json", {
             "spectral_density": {"family": "piecewise",

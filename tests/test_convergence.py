@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chaincast as cc
+from chaincast import convergence
 from chaincast.errors import NotInSzegoClass
 
 
@@ -149,6 +150,40 @@ class TestConvergenceReport:
             cm = np.array([moment(lambda w: rd(m, w), k) for k in range(k_max + 1)])
             np.testing.assert_allclose(rep.terminal_moment_gap[m],
                                        np.abs(cm - ct), rtol=1e-12, atol=0)
+
+    def test_szego_check_runs_once(self, monkeypatch):
+        sd = cc.power_law_sd(1.0, 0.1, 1.0)
+        calls = []
+        check = convergence.szego_check
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(convergence, "szego_check", counted)
+        rep = cc.convergence_report(sd, 0.0, 8, residual_orders=2)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # every field as the checked public functions give it, to the bit
+        assert rep.szego == cc.szego_check(sd, 0.0)
+        a_inf, b_inf = cc.asymptotic_limits(sd, 0.0)
+        assert (rep.alpha_limit, rep.beta_limit) == (a_inf, b_inf)
+        chain = cc.chain_coefficients(sd, 0.0, 8)
+        np.testing.assert_array_equal(rep.alpha, chain.alpha)
+        np.testing.assert_array_equal(rep.beta, chain.beta)
+        np.testing.assert_array_equal(rep.alpha_deviation,
+                                      np.abs(chain.alpha - a_inf))
+        np.testing.assert_array_equal(rep.beta_deviation,
+                                      np.abs(chain.beta[1:] - b_inf))
+        np.testing.assert_array_equal(rep.hopping_ratio, chain.alpha / chain.E4)
+        rd = cc.ResidualDensity.build(sd, 0, 2)
+        c = convergence._density_moments(
+            [cc.terminal_sd(sd, 0)] + [lambda w, m=m: rd(m, w) for m in (1, 2)],
+            *rd.clipped_range(), 8)
+        assert sorted(rep.terminal_moment_gap) == [1, 2]
+        for m in (1, 2):
+            np.testing.assert_array_equal(rep.terminal_moment_gap[m],
+                                          np.abs(c[m] - c[0]))
 
     def test_gapped_report(self, gapped_sd):
         rep = cc.convergence_report(gapped_sd, 0.0, 6)

@@ -9,7 +9,21 @@ from hypothesis import strategies as st
 import chaincast as cc
 from chaincast.errors import IndexOutOfRange
 from chaincast.measures import scale_mass
-from chaincast.stieltjes import secondary_polynomial_by_quadrature
+from chaincast.orthopoly import orthonormal_table
+
+
+def secondary_polynomial_by_quadrature(rc, n, x):
+    """Q_n(x) from its defining integral, via the measure's Gauss rule.
+
+    Oracle for the recurrence seed Q_1 = sqrt(beta_0)/t_0; the integrand
+    is a degree-(n-1) polynomial in t, integrated exactly by a rule of
+    size >= n.
+    """
+    rule = cc.gauss_rule(rc, min(rc.n, 2 * n + 2))
+    pt = orthonormal_table(rc, n, rule.nodes)[n]
+    px = orthonormal_table(rc, n, x)[n]
+    diff = rule.nodes[None, :] - x[:, None]
+    return ((pt[None, :] - px[:, None]) / diff) @ rule.weights
 
 
 def jacobi_alpha(n, s, cut=1.0):
@@ -228,7 +242,7 @@ class TestSecondaryPolynomials:
         a, b = m.hull
         xs = np.linspace(a + 0.07, b - 0.07, 9)
         for n in range(1, 7):
-            oracle = secondary_polynomial_by_quadrature(m, rc, n, xs)
+            oracle = secondary_polynomial_by_quadrature(rc, n, xs)
             fast = cc.eval_secondary_polynomial(rc, n, xs)
             np.testing.assert_allclose(fast, oracle, rtol=1e-10, atol=1e-11)
 

@@ -10,7 +10,6 @@ from chaincast.errors import (
     IndexOutOfRange,
     InsufficientMoments,
 )
-from chaincast.secondary import guard_band
 
 
 class TestSecondaryDensity:
@@ -29,7 +28,7 @@ class TestSecondaryDensity:
 
     def test_secondary_mass_is_c2_minus_c1_squared(self, semicircle):
         # C_0(d rho) = C_2 - C_1^2 = beta_1; quadrature against recurrence.
-        lo, hi = guard_band(semicircle)
+        lo, hi = stieltjes.evaluation_band(semicircle)
         val, _ = cc.quadrature.integrate(
             lambda x: cc.secondary_density(semicircle, x), lo, hi,
             rel_tol=1e-11)
@@ -118,7 +117,7 @@ class TestSequenceDensity:
             m = measure_suite[name]
             xs = np.linspace(m.hull[0] + 0.1, m.hull[1] - 0.1, 31)
             rho = cc.secondary_density(m, xs)
-            lo, hi = guard_band(m)
+            lo, hi = stieltjes.evaluation_band(m)
             mass, _ = cc.quadrature.integrate(
                 lambda t: cc.secondary_density(m, t), lo, hi)
             dev = float(np.max(np.abs(rho / mass - m.weight(xs))))
@@ -186,7 +185,7 @@ class TestSecondaryMoments:
         # The recurrence is the oracle for quadrature of the secondary density.
         moms = cc.moments(weight_2x, 8)
         rho = cc.secondary_moments(moms, 4)
-        lo, hi = guard_band(weight_2x)
+        lo, hi = stieltjes.evaluation_band(weight_2x)
         for k in range(5):
             val, _ = cc.quadrature.integrate(
                 lambda x, k=k: cc.secondary_density(weight_2x, x) * x**k,

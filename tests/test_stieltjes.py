@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import chaincast as cc
+from chaincast import stieltjes
 from chaincast.errors import (
     EndpointEvaluation,
     GappedMeasure,
     PoleTooClose,
+    UnsupportedMeasure,
 )
 
 
@@ -111,6 +113,47 @@ class TestReducer:
             cc.reducer(weight_x, 0.0)
         with pytest.raises(EndpointEvaluation):
             cc.reducer(weight_x, 1.0 - 1e-13)
+
+
+class TestRouteSelection:
+    """"auto" takes the family closed form when there is one, else the
+    Lipschitz route."""
+
+    @pytest.fixture
+    def lipschitz_calls(self, monkeypatch):
+        calls = []
+        route = stieltjes._reducer_lipschitz
+
+        def counted(m, x):
+            calls.append(len(x))
+            return route(m, x)
+
+        monkeypatch.setattr(stieltjes, "_reducer_lipschitz", counted)
+        return calls
+
+    def test_closed_form_family(self, lipschitz_calls):
+        m = cc.power_law_measure(1, 1.0)
+        xs = np.linspace(0.05, 0.95, 19)
+        np.testing.assert_array_equal(cc.reducer(m, xs), m.family.reducer(xs))
+        assert lipschitz_calls == []
+
+    def test_family_without_closed_form(self, lipschitz_calls):
+        m = cc.power_law_measure(1, 0.7)
+        assert m.family.reducer(np.array([0.5])) is None
+        xs = np.linspace(0.05, 0.95, 19)
+        auto = cc.reducer(m, xs)
+        assert lipschitz_calls == [19]
+        np.testing.assert_array_equal(auto, cc.reducer(m, xs, method="lipschitz"))
+
+    def test_familyless_unbounded_rejected(self):
+        m = cc.Measure(lambda x: np.exp(-np.asarray(x, float)),
+                       ((0.0, math.inf),), tail=cc.TailBound(1.0))
+        with pytest.raises(UnsupportedMeasure):
+            cc.reducer(m, 1.0)
+
+    def test_unknown_method(self, weight_x):
+        with pytest.raises(ValueError, match="bogus"):
+            cc.reducer(weight_x, 0.5, method="bogus")
 
 
 class TestLipschitzRoute:
