@@ -126,12 +126,8 @@ def measure_from_sd(J: SpectralDensity, q: float) -> Measure:
         if J.m0_family is not None:
             return Measure.from_family(J.m0_family)
         ev = J.evaluator
-        tail = None
-        if J.tail is not None:
-            tail = TailBound(J.tail.rate, J.tail.power, J.tail.stretch,
-                             J.tail.scale / math.pi)
         return Measure(lambda x: np.asarray(ev(x), float) / math.pi,
-                       J.support, J.endpoint_exponents, tail=tail)
+                       J.support, J.endpoint_exponents, tail=J.tail)
 
     support = tuple((kernel.G(lo), kernel.G(hi)) for lo, hi in J.support)
     exponents = _transformed_exponents(J, q)
@@ -142,8 +138,7 @@ def measure_from_sd(J: SpectralDensity, q: float) -> Measure:
         ev = J.evaluator
         tail = None
         if J.tail is not None:
-            tail = TailBound(J.tail.rate, J.tail.power / 2.0, J.tail.stretch / 2.0,
-                             J.tail.scale / math.pi)
+            tail = TailBound(J.tail.rate, J.tail.power / 2.0, J.tail.stretch / 2.0)
         return Measure(lambda x: np.asarray(ev(np.sqrt(np.maximum(x, 0.0))), float) / math.pi,
                        support, exponents, tail=tail)
 
@@ -159,8 +154,7 @@ def measure_from_sd(J: SpectralDensity, q: float) -> Measure:
         # G_inv(x) >= x sqrt(1-q^2), ratio -> (1+q): a conservative bound.
         t = J.tail
         shrink = (1.0 - q * q) ** (t.stretch / 2.0)
-        tail = TailBound(t.rate * shrink, t.power, t.stretch,
-                         t.scale * (1.0 + q) / math.pi)
+        tail = TailBound(t.rate * shrink, t.power, t.stretch)
     return Measure(weight, support, exponents, tail=tail)
 
 

@@ -22,7 +22,9 @@ strictly increasing omega); "piecewise" takes intervals [[lo, hi, height],
 ...] and may be gapped.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 unsupported
-request (residual densities of a gapped measure, or 0 < q < 1).
+request (residual densities of a gapped measure, or 0 < q < 1, or a
+reducer that is unavailable for the measure).  The report's moment_gaps
+hold orders 1..max(residual_orders), at most 6.
 Outputs are deterministic: identical configs give byte-identical files.
 """
 
@@ -45,8 +47,8 @@ from .errors import (
     ConfigError,
     DivergentMoment,
     GappedMeasure,
-    IllConditioned,
     UnsupportedMapping,
+    UnsupportedMeasure,
 )
 from .measures import (
     SpectralDensity,
@@ -258,18 +260,14 @@ def _write_residual_csv(path: str, grid, columns: dict[int, np.ndarray],
 
 
 def run(config: JobConfig) -> int:
-    """Execute a validated job; returns the process exit code."""
+    """Execute a validated job; returns the exit code (``main`` maps errors)."""
     warnings: list[str] = []
     # A job that fails part-way must not leave an earlier job's outputs
     # beside its own.
     for out in map(Path, (config.chain_csv, config.residual_csv, config.report_json)):
         out.parent.mkdir(parents=True, exist_ok=True)
         out.unlink(missing_ok=True)
-    try:
-        cc = chain_coefficients(config.sd, config.mapping_q, config.sites)
-    except (IllConditioned, DivergentMoment) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    cc = chain_coefficients(config.sd, config.mapping_q, config.sites)
     _write_chain_csv(config.chain_csv, cc, config.sd.support)
 
     residual_columns: dict[int, np.ndarray] = {}
@@ -286,44 +284,34 @@ def run(config: JobConfig) -> int:
                   f"density (Stieltjes transform vanishes at z0={z0:.12g} "
                   "inside the gap)", file=sys.stderr)
             return EXIT_UNSUPPORTED
-    try:
-        if positive_orders:
-            rd = ResidualDensity.build(config.sd, int(config.mapping_q),
-                                       max(positive_orders))
-            clipped = rd.clipped_range()
-        else:
-            rd = None
-            clipped = _j0_sample_range(config.sd)
-        lo, hi = clipped
-        if config.grid_range is not None:
-            glo, ghi = config.grid_range
-            if glo < lo or ghi > hi:
-                warnings.append(f"grid range clipped to guard-banded support "
-                                f"[{_fmt(lo)}, {_fmt(hi)}]")
-            lo, hi = max(lo, glo), min(hi, ghi)
-            if not hi > lo:
-                warnings.append("grid range outside the support; using the "
-                                "full sample range")
-                lo, hi = clipped
-        grid = np.linspace(lo, hi, config.grid_points)
-        # J0 is always emitted alongside any requested orders.
-        residual_columns[0] = np.asarray(config.sd(grid), float)
-        for n in positive_orders:
-            residual_columns[n] = np.asarray(rd(n, grid), float)
-    except (UnsupportedMapping, GappedMeasure) as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (IllConditioned, DivergentMoment) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    if positive_orders:
+        rd = ResidualDensity.build(config.sd, int(config.mapping_q),
+                                   max(positive_orders))
+        clipped = rd.clipped_range()
+    else:
+        rd = None
+        clipped = _j0_sample_range(config.sd)
+    lo, hi = clipped
+    if config.grid_range is not None:
+        glo, ghi = config.grid_range
+        if glo < lo or ghi > hi:
+            warnings.append(f"grid range clipped to guard-banded support "
+                            f"[{_fmt(lo)}, {_fmt(hi)}]")
+        lo, hi = max(lo, glo), min(hi, ghi)
+        if not hi > lo:
+            warnings.append("grid range outside the support; using the "
+                            "full sample range")
+            lo, hi = clipped
+    grid = np.linspace(lo, hi, config.grid_points)
+    # J0 is always emitted alongside any requested orders.
+    residual_columns[0] = np.asarray(config.sd(grid), float)
+    for n in positive_orders:
+        residual_columns[n] = np.asarray(rd(n, grid), float)
     _write_residual_csv(config.residual_csv, grid, residual_columns,
                         config.mapping_q, clipped)
 
-    try:
-        report = convergence_report(config.sd, config.mapping_q, config.sites)
-    except (IllConditioned, DivergentMoment) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = convergence_report(config.sd, config.mapping_q, config.sites,
+                                residual_orders=max(positive_orders, default=0))
     payload = {
         "szego": str(report.szego),
         "q": report.q,
@@ -373,7 +361,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     try:
         return run(config)
-    except ChaincastError as exc:  # uncaught domain errors are numerical
+    except (UnsupportedMapping, UnsupportedMeasure, GappedMeasure) as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except ChaincastError as exc:  # every other domain error is numerical
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

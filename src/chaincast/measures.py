@@ -14,7 +14,7 @@ evaluation at the support endpoints (clip/return 0 rather than raise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,15 +58,14 @@ Intervals = tuple[tuple[float, float], ...]
 class TailBound:
     """Certified decay of a weight on an unbounded interval.
 
-    weight(x) <= scale * x**power * exp(-rate * x**stretch) for large x.
-    Used to pick quadrature truncation points with the discarded tail
-    below 1e-16 of the bound's peak.
+    weight(x) <= C * x**power * exp(-rate * x**stretch) for large x and
+    some constant C.  Used to pick quadrature truncation points with the
+    discarded tail below 1e-16 of the bound's peak.
     """
 
     rate: float
     power: float = 0.0
     stretch: float = 1.0
-    scale: float = 1.0
 
     def cutoff(self, poly_degree: int = 0) -> float:
         return quadrature.tail_cutoff(self.rate, self.power + poly_degree, self.stretch)
@@ -199,7 +198,7 @@ class PowerLawExpWeight:
         return PowerLawExpWeight(self.c * factor, self.s, self.scale)
 
     def tail(self) -> TailBound:
-        return TailBound(rate=1.0 / self.scale, power=self.s, scale=self.c)
+        return TailBound(rate=1.0 / self.scale, power=self.s)
 
 
 @dataclass(frozen=True)
@@ -260,8 +259,25 @@ def _check_intervals(support: Intervals) -> Intervals:
     return support
 
 
+class _Supported:
+    """Shape of a sorted tuple of support intervals, ``self.support``."""
+
+    @property
+    def hull(self) -> tuple[float, float]:
+        return self.support[0][0], self.support[-1][1]
+
+    @property
+    def gapless(self) -> bool:
+        # Classified by the continuous part only; point masses are ignored.
+        return len(self.support) == 1
+
+    @property
+    def bounded(self) -> bool:
+        return math.isfinite(self.support[-1][1])
+
+
 @dataclass(frozen=True)
-class Measure:
+class Measure(_Supported):
     """Positive measure: weight function on support intervals + point masses.
 
     Parameters
@@ -279,7 +295,8 @@ class Measure:
     point_masses : tuple of PointMass
         Finitely many atoms added to every integral.
     family : analytic family descriptor, optional
-        Enables closed-form recurrence coefficients / reducers.
+        Enables closed-form recurrence coefficients / reducers, and gives
+        the weight's derivative to the generic reducer routes.
     """
 
     weight: Callable
@@ -288,7 +305,6 @@ class Measure:
     tail: TailBound | None = None
     point_masses: tuple[PointMass, ...] = ()
     family: WeightFamily | None = None
-    weight_derivative: Callable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "support", _check_intervals(self.support))
@@ -301,19 +317,6 @@ class Measure:
     # -- structure ---------------------------------------------------------
 
     @property
-    def hull(self) -> tuple[float, float]:
-        return self.support[0][0], self.support[-1][1]
-
-    @property
-    def gapless(self) -> bool:
-        # Classified by the continuous part only; point masses are ignored.
-        return len(self.support) == 1
-
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.support[-1][1])
-
-    @property
     def span(self) -> float:
         a, b = self.hull
         if math.isinf(b):
@@ -324,16 +327,14 @@ class Measure:
     def from_family(cls, fam: WeightFamily, point_masses=()) -> "Measure":
         if isinstance(fam, PowerLawWeight):
             return cls(fam.weight, ((0.0, fam.cut),), ((fam.s, 0.0),),
-                       family=fam, weight_derivative=fam.derivative,
-                       point_masses=tuple(point_masses))
+                       family=fam, point_masses=tuple(point_masses))
         if isinstance(fam, PowerLawExpWeight):
             return cls(fam.weight, ((0.0, math.inf),), ((fam.s, 0.0),),
-                       tail=fam.tail(), family=fam, weight_derivative=fam.derivative,
+                       tail=fam.tail(), family=fam,
                        point_masses=tuple(point_masses))
         if isinstance(fam, SemicircleWeight):
             return cls(fam.weight, ((fam.a, fam.b),), ((0.5, 0.5),),
-                       family=fam, weight_derivative=fam.derivative,
-                       point_masses=tuple(point_masses))
+                       family=fam, point_masses=tuple(point_masses))
         raise DomainError(f"unknown family {fam!r}")
 
     # -- integration -------------------------------------------------------
@@ -350,9 +351,10 @@ class Measure:
             out.append((lo, hi))
         return tuple(out)
 
-    def integrate(self, f: Callable, poly_degree: int = 0,
-                  rel_tol: float = 1e-13) -> float:
-        """Integral of f against the measure (weight dx + point masses)."""
+    def integrate(self, f: Callable, poly_degree: int = 0) -> float:
+        """Integral of f against the measure (weight dx + point masses), to
+        1e-13 relative per support interval."""
+        rel_tol = 1e-13
         total = 0.0
         ok_all = True
         for lo, hi in self._effective_intervals(poly_degree):
@@ -424,7 +426,7 @@ def moments(m: Measure, n: int) -> MomentSequence:
     if n < 0:
         raise DomainError("moment order must be nonnegative")
     vals = [m.integrate(lambda x, k=k: x**k if k else np.ones_like(x),
-                        poly_degree=k, rel_tol=1e-13) for k in range(n + 1)]
+                        poly_degree=k) for k in range(n + 1)]
     return MomentSequence(np.array(vals))
 
 
@@ -443,9 +445,8 @@ def rescale(m: Measure, lam: float) -> Measure:
     if m.tail is not None:
         t = m.tail
         tail = TailBound(rate=t.rate / lam**t.stretch, power=t.power,
-                         stretch=t.stretch, scale=t.scale / lam)
+                         stretch=t.stretch)
     fam = m.family.rescaled(lam) if m.family is not None else None
-    old_d = m.weight_derivative
     return Measure(
         weight=lambda x: old_w(np.asarray(x, float) / lam) / lam,
         support=support,
@@ -454,8 +455,6 @@ def rescale(m: Measure, lam: float) -> Measure:
         point_masses=tuple(PointMass(p.location * lam, p.mass)
                            for p in m.point_masses),
         family=fam,
-        weight_derivative=(None if old_d is None
-                           else lambda x: old_d(np.asarray(x, float) / lam) / lam**2),
     )
 
 
@@ -464,18 +463,14 @@ def scale_mass(m: Measure, factor: float) -> Measure:
     if not factor > 0:
         raise DomainError("mass factor must be positive")
     old_w = m.weight
-    old_d = m.weight_derivative
-    tail = None if m.tail is None else replace(m.tail, scale=m.tail.scale * factor)
     return Measure(
         weight=lambda x: factor * old_w(x),
         support=m.support,
         endpoint_exponents=m.endpoint_exponents,
-        tail=tail,
+        tail=m.tail,
         point_masses=tuple(PointMass(p.location, p.mass * factor)
                            for p in m.point_masses),
         family=m.family.scaled(factor) if m.family is not None else None,
-        weight_derivative=(None if old_d is None
-                           else lambda x: factor * old_d(x)),
     )
 
 
@@ -506,7 +501,7 @@ def power_law_exp_measure(c: float, s: float, scale: float = 1.0) -> Measure:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SpectralDensity:
+class SpectralDensity(_Supported):
     """Bath spectral density J(w): nonnegative on its support, 0 outside.
 
     m0_family / m1_family, when present, are the analytic weight families
@@ -529,18 +524,6 @@ class SpectralDensity:
         if not self.endpoint_exponents:
             object.__setattr__(self, "endpoint_exponents",
                                tuple((0.0, 0.0) for _ in self.support))
-
-    @property
-    def hull(self) -> tuple[float, float]:
-        return self.support[0][0], self.support[-1][1]
-
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.support[-1][1])
-
-    @property
-    def gapless(self) -> bool:
-        return len(self.support) == 1
 
     def __call__(self, omega):
         omega = np.asarray(omega, float)
@@ -616,22 +599,21 @@ def custom_sd(evaluator: Callable, support: Intervals,
 
 
 def sd_from_dispersion(g: Callable, h: Callable, k_min: float, k_max: float,
-                       g_inverse: Callable | None = None,
-                       check_points: int = 513) -> SpectralDensity:
+                       g_inverse: Callable | None = None) -> SpectralDensity:
     """Spectral density J(w) = pi * h(g^-1(w))**2 * |d g^-1(w)/dw|.
 
     Parameters
     ----------
     g : callable
         Dispersion relation; must be strictly monotone on [k_min, k_max]
-        (verified on a sample grid).
+        (verified on a grid of 513 samples).
     h : callable
         Real coupling amplitude, square integrable on [k_min, k_max].
     g_inverse : callable, optional
         Closed-form inverse; when omitted, g is inverted by bracketed
         root finding per evaluation.
     """
-    ks = np.linspace(k_min, k_max, check_points)
+    ks = np.linspace(k_min, k_max, 513)
     gs = np.array([float(g(k)) for k in ks])
     diffs = np.diff(gs)
     if np.all(diffs > 0):

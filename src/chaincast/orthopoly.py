@@ -42,7 +42,6 @@ class RecurrenceCoefficients:
 
     alpha: np.ndarray
     beta: np.ndarray
-    source_support: tuple[float, float]
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, float))
@@ -59,8 +58,7 @@ class RecurrenceCoefficients:
         beta_offset (the mass of the offset-th beta-normalized member)."""
         if not 0 <= offset < self.n:
             raise IndexOutOfRange(f"offset {offset} outside 0..{self.n - 1}")
-        return RecurrenceCoefficients(self.alpha[offset:], self.beta[offset:],
-                                      self.source_support)
+        return RecurrenceCoefficients(self.alpha[offset:], self.beta[offset:])
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ def _generic_coefficients(m: Measure, n: int) -> RecurrenceCoefficients:
             da = np.max(np.abs(alpha - pa)) / scale
             db = np.max(np.abs(beta - pb) / np.maximum(np.abs(beta), 1e-300))
             if da <= rel_tol and db <= rel_tol:
-                return RecurrenceCoefficients(alpha, beta, m.hull)
+                return RecurrenceCoefficients(alpha, beta)
         prev = (alpha, beta)
     raise IllConditioned(
         f"recurrence coefficients did not stabilize to {rel_tol} for N={n}")
@@ -142,22 +140,18 @@ def recurrence_coefficients(m: Measure, n: int,
 
     Parameters
     ----------
-    method : {"auto", "analytic", "stieltjes"}
+    method : {"auto", "stieltjes"}
         "auto" uses the closed form when the measure carries an analytic
-        family, otherwise the discretized Stieltjes path; the other values
-        force one route ("analytic" fails if no family is attached).
+        family, otherwise the discretized Stieltjes path; "stieltjes"
+        forces the discretized path.
     """
     if not 0 < n <= MAX_ORDER:
         raise IndexOutOfRange(f"order must be in 1..{MAX_ORDER}, got {n}")
-    if method not in ("auto", "analytic", "stieltjes"):
+    if method not in ("auto", "stieltjes"):
         raise ValueError(f"unknown method {method!r}")
-    use_analytic = (m.family is not None and not m.point_masses
-                    and method in ("auto", "analytic"))
-    if method == "analytic" and not use_analytic:
-        raise ValueError("measure has no analytic family")
-    if use_analytic:
+    if method == "auto" and m.family is not None and not m.point_masses:
         alpha, beta = m.family.recurrence(n)
-        rc = RecurrenceCoefficients(alpha, beta, m.hull)
+        rc = RecurrenceCoefficients(alpha, beta)
     else:
         rc = _generic_coefficients(m, n)
     return _validate(rc, m)
@@ -169,38 +163,34 @@ def recurrence_coefficients(m: Measure, n: int,
 # with the positive-leading-coefficient convention.
 # ---------------------------------------------------------------------------
 
-def orthonormal_table(rc: RecurrenceCoefficients, n: int, x) -> np.ndarray:
-    """P_0..P_n stacked along the first axis."""
+def _recurrence_table(rc: RecurrenceCoefficients, n: int, x, seed_prev: float,
+                      seed: float) -> np.ndarray:
+    """R_0..R_n of the recurrence above, stacked along the first axis, from
+    the seeds R_{-1} = seed_prev and R_0 = seed."""
     if not 0 <= n < rc.n:
         raise IndexOutOfRange(f"order {n} outside 0..{rc.n - 1}")
     x = np.asarray(x, float)
     t = np.sqrt(rc.beta)
-    out = np.zeros((n + 1,) + x.shape)
-    out[0] = 1.0 / t[0]
-    if n >= 1:
-        out[1] = (x - rc.alpha[0]) * out[0] / t[1]
-    for k in range(1, n):
-        out[k + 1] = ((x - rc.alpha[k]) * out[k] - t[k] * out[k - 1]) / t[k + 1]
-    return out
+    out = np.zeros((n + 2,) + x.shape)
+    out[0], out[1] = seed_prev, seed
+    for k in range(n):
+        out[k + 2] = ((x - rc.alpha[k]) * out[k + 1] - t[k] * out[k]) / t[k + 1]
+    return out[1:]
+
+
+def orthonormal_table(rc: RecurrenceCoefficients, n: int, x) -> np.ndarray:
+    """P_0..P_n stacked along the first axis."""
+    return _recurrence_table(rc, n, x, 0.0, 1.0 / math.sqrt(rc.beta[0]))
 
 
 def secondary_table(rc: RecurrenceCoefficients, n: int, x) -> np.ndarray:
     """Q_0..Q_n stacked along the first axis.
 
-    Q_n runs the same recurrence as P_n with seeds Q_0 = 0 and
-    Q_1 = sqrt(beta_0)/t_0; the seed is validated against the defining
-    integral in the test suite before being trusted.
+    Q_n runs the same recurrence as P_n with seeds Q_{-1} = -1 and Q_0 = 0,
+    so Q_1 = sqrt(beta_0 / beta_1); the seed is validated against the
+    defining integral in the test suite before being trusted.
     """
-    if not 0 <= n < rc.n:
-        raise IndexOutOfRange(f"order {n} outside 0..{rc.n - 1}")
-    x = np.asarray(x, float)
-    t = np.sqrt(rc.beta)
-    out = np.zeros((n + 1,) + x.shape)
-    if n >= 1:
-        out[1] = t[0] / t[1]
-    for k in range(1, n):
-        out[k + 1] = ((x - rc.alpha[k]) * out[k] - t[k] * out[k - 1]) / t[k + 1]
-    return out
+    return _recurrence_table(rc, n, x, -1.0, 0.0)
 
 
 def eval_monic(rc: RecurrenceCoefficients, n: int, x):

@@ -109,11 +109,11 @@ def map_nodes(level: int, a: float, b: float):
 
 
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
-              with_distances: bool = False, max_level: int = MAX_LEVEL):
+              with_distances: bool = False):
     """Integrate f over [a, b], halving the step until two consecutive
-    levels agree to ``rel_tol``.  An absolute floor proportional to the
-    integrand's L1 mass keeps exactly-cancelling integrals (odd moments of
-    symmetric weights) from chasing their own roundoff.
+    levels agree to ``rel_tol`` (at most ``MAX_LEVEL``).  An absolute floor
+    proportional to the integrand's L1 mass keeps exactly-cancelling
+    integrals (odd moments of symmetric weights) from chasing their roundoff.
 
     Each level calls f only on the nodes it adds (``refinement``).  f may
     return shape ``(..., nodes)``: the value then has shape ``(...)`` and
@@ -135,7 +135,7 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     prev = np.sum(vals * w, axis=-1)
     value = prev
     done = np.zeros(np.shape(prev), bool)
-    for level in range(MIN_LEVEL + 1, max_level + 1):
+    for level in range(MIN_LEVEL + 1, MAX_LEVEL + 1):
         x, da, db, w = map_nodes(level, a, b)
         old, carried, new = refinement(level)
         fresh = call(x[new], da[new], db[new])
@@ -154,11 +154,11 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     return np.where(done, value, prev)[()], False
 
 
-def tail_cutoff(rate: float, power: float, stretch: float, onset: float = 0.0,
-                tol: float = 1e-16) -> float:
+def tail_cutoff(rate: float, power: float, stretch: float) -> float:
     """Truncation point T for a tail bounded by x**power * exp(-rate*x**stretch).
 
-    Chosen so the bound at T is below ``tol`` times the bound's peak value;
+    Chosen so the bound at T is below 1e-16 times the bound's peak value
+    (the peak taken at x >= 1);
     with double-exponential decay of the quadrature this certifies the
     discarded tail against the running total.
     """
@@ -168,8 +168,8 @@ def tail_cutoff(rate: float, power: float, stretch: float, onset: float = 0.0,
     def logbound(x):
         return power * np.log(x) - rate * x**stretch
 
-    peak = max((max(power, 0.0) / (rate * stretch)) ** (1.0 / stretch), onset, 1.0)
-    target = logbound(peak) + np.log(tol)
+    peak = max((max(power, 0.0) / (rate * stretch)) ** (1.0 / stretch), 1.0)
+    target = logbound(peak) + np.log(1e-16)
     t = peak * 2 + 1.0
     while logbound(t) > target:
         t *= 2.0

@@ -24,7 +24,7 @@ import numpy as np
 
 from .chainmap import measure_from_sd
 from .errors import GappedMeasure, UnsupportedMapping
-from .measures import Measure, SpectralDensity
+from .measures import SpectralDensity
 from .orthopoly import recurrence_coefficients
 from .secondary import SecondarySequence
 from .stieltjes import evaluation_band
@@ -44,7 +44,6 @@ class ResidualDensity:
     base: SpectralDensity
     q: int
     seq: SecondarySequence
-    order: int
 
     @classmethod
     def build(cls, J: SpectralDensity, q: int, order: int) -> "ResidualDensity":
@@ -55,7 +54,7 @@ class ResidualDensity:
             raise GappedMeasure("residual densities require a gapless spectral density")
         lam = measure_from_sd(J, float(q))
         seq = SecondarySequence.build(lam, order, mode="beta_normalized")
-        return cls(base=J, q=q, seq=seq, order=order)
+        return cls(base=J, q=q, seq=seq)
 
     def __call__(self, n: int, omega):
         if n == 0:
@@ -94,14 +93,8 @@ class ResidualDensity:
             hi = math.nextafter(hi, -math.inf)
         return lo, hi
 
-    def measure_of_order(self, n: int) -> Measure:
-        """The measure d-lambda^q built from J_n (guard-banded interior)."""
-        if n == 0:
-            return self.seq.base
-        return self.seq.member_measure(n)
 
-
-def _tail_cut(J: SpectralDensity, drop: float = 1e-12) -> float:
+def _tail_cut(J: SpectralDensity) -> float:
     lo = J.hull[0]
     if J.tail is None:
         raise UnsupportedMapping("unbounded spectral density without tail bound")
@@ -109,7 +102,7 @@ def _tail_cut(J: SpectralDensity, drop: float = 1e-12) -> float:
     grid = np.linspace(lo, hi, 40001)[1:]
     vals = np.asarray(J(grid), float)
     peak = float(vals.max())
-    above = np.nonzero(vals > drop * peak)[0]
+    above = np.nonzero(vals > 1e-12 * peak)[0]
     return float(grid[above[-1]]) if len(above) else hi
 
 
@@ -154,7 +147,7 @@ def residual_consistency(J: SpectralDensity, q: int, n: int, depth: int,
     if n == 0:
         return ConsistencyReport(0, depth,
                                  np.zeros(depth + 1), np.zeros(depth + 1))
-    member = rd.measure_of_order(n)
+    member = rd.seq.member_measure(n)
     child = recurrence_coefficients(member, depth + 1, method="stieltjes")
     a_dev = np.abs(child.alpha - parent.alpha[n:n + depth + 1])
     b_dev = np.abs(child.beta - parent.beta[n:n + depth + 1])

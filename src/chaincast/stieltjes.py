@@ -111,8 +111,8 @@ def _check_interior(m: Measure, x: np.ndarray) -> None:
 
 
 def _weight_derivative(m: Measure, x: np.ndarray, step: float) -> np.ndarray:
-    if m.weight_derivative is not None:
-        return np.asarray(m.weight_derivative(x), float)
+    if m.family is not None:
+        return np.asarray(m.family.derivative(x), float)
     return (m.weight(x + step) - m.weight(x - step)) / (2.0 * step)
 
 
@@ -247,6 +247,7 @@ def perron_invert(m: Measure, x: float, eps: float):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    rel_tol = 1e-12
     total = 0.0
     for lo, hi in m._effective_intervals(0):
         if lo < x < hi:
@@ -261,8 +262,11 @@ def perron_invert(m: Measure, x: float, eps: float):
             def f(t, da, db, a=a, b=b, where=where):
                 d = da + (a - x) if where == "start" else db + (x - b)
                 return m.weight(t) * eps / (d * d + eps * eps)
-            val, _ = quadrature.integrate(f, a, b, rel_tol=1e-12,
-                                          with_distances=True)
+            val, ok = quadrature.integrate(f, a, b, rel_tol=rel_tol,
+                                           with_distances=True)
+            if not ok:
+                _log.warning("perron_invert: quadrature not converged on "
+                             "[%r, %r] at rel_tol %g", a, b, rel_tol)
             total += val
     for pm in m.point_masses:
         total += pm.mass * eps / ((x - pm.location) ** 2 + eps * eps)
@@ -305,20 +309,19 @@ def find_gap_zero(m: Measure, gap_index: int = 0):
     return float(brentq(s_real, lo, hi, xtol=1e-14 * max(1.0, abs(c)), rtol=8.9e-16))
 
 
-def pade_defect(m: Measure, rc: RecurrenceCoefficients, n: int, z: float,
-                terms: int = 10) -> float:
+def pade_defect(m: Measure, rc: RecurrenceCoefficients, n: int, z: float) -> float:
     """z**(2n+3) * (S(z) - Q_{n+1}(z)/P_{n+1}(z)), evaluated without
     cancellation.
 
     Uses the identity S(z) - Q_k(z)/P_k(z) = (1/P_k(z)) int P_k(t) d-mu(t)/(z-t)
     with the Cauchy kernel expanded geometrically; orthogonality kills the
-    first k terms, so the series starts at the signal instead of recovering
-    it from a ~30-digit subtraction.  The defect tends to
+    first k terms, so the ten terms summed start at the signal instead of
+    recovering it from a ~30-digit subtraction.  The defect tends to
     beta_1 * ... * beta_{n+1} as z grows (for a unit-mass measure).
     """
     k = n + 1
     series = 0.0
-    for j in range(k, k + terms):
+    for j in range(k, k + 10):
         mj = m.integrate(lambda t: orthonormal_table(rc, k, t)[k] * t**j,
                          poly_degree=k + j)
         series += mj / z ** (j + 1)

@@ -85,10 +85,10 @@ def test_criterion_04_residual_density_golden_values():
     assert got == pytest.approx(1.0 / (math.pi**2 + 4), abs=1e-12)
 
     rd = cc.ResidualDensity.build(j, 0, 2)
-    assert rd.measure_of_order(1).total_mass() == pytest.approx(1 / 18,
-                                                                abs=1e-6)
-    assert rd.measure_of_order(2).total_mass() == pytest.approx(3 / 50,
-                                                                abs=1e-6)
+    assert rd.seq.member_measure(1).total_mass() == pytest.approx(1 / 18,
+                                                                  abs=1e-6)
+    assert rd.seq.member_measure(2).total_mass() == pytest.approx(3 / 50,
+                                                                  abs=1e-6)
 
     x = 0.25
     r = math.sqrt(x)

@@ -127,6 +127,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert "z0=1.5" in err
 
+    def test_unavailable_reducer_exits_4(self, tmp_path, capsys):
+        # Neither reducer route exists: the Laguerre closed form needs an
+        # integer s, the Lipschitz route bounded support.
+        path = write_config(tmp_path / "job.json", {
+            "spectral_density": {"family": "power_law_exp_cutoff", "s": 1.3,
+                                 "alpha": 0.1, "omega_c": 1.0},
+            "mapping_q": 0, "sites": 8, "residual_orders": [1, 2],
+            "grid": {"points": 16}})
+        assert cli.main(["run", "--config", path]) == cli.EXIT_UNSUPPORTED
+        assert capsys.readouterr().err.startswith("unsupported:")
+        assert (tmp_path / "chain.csv").exists()
+        assert not (tmp_path / "residual.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("orders, keys", [([1, 2], {"1", "2"}), ([], set())])
+    def test_moment_gaps_follow_residual_orders(self, tmp_path, orders, keys):
+        path = ohmic_config(tmp_path, residual_orders=orders)
+        assert cli.main(["run", "--config", path]) == cli.EXIT_OK
+        gaps = json.loads((tmp_path / "report.json").read_text())["moment_gaps"]
+        assert set(gaps) == keys
+        want = cc.convergence_report(cc.power_law_sd(1.0, 0.1, 1.0), 0.0, 10,
+                                     residual_orders=2).terminal_moment_gap
+        for key, vals in gaps.items():
+            assert vals == [float(v) for v in want[int(key)]]
+
     def test_failed_run_leaves_no_stale_outputs(self, tmp_path):
         out = tmp_path / "out"
         flat = write_config(tmp_path / "flat.json", {

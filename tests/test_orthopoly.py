@@ -94,7 +94,7 @@ class TestRecurrenceCoefficients:
         assert rc.beta[1] == pytest.approx(1 / 18, rel=1e-14)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("method", ["analytic", "stieltjes"])
+    @pytest.mark.parametrize("method", ["auto", "stieltjes"])
     def test_power_law_closed_forms(self, s, method):
         m = cc.power_law_measure(1.0, s)
         rc = cc.recurrence_coefficients(m, 31, method=method)
@@ -105,7 +105,7 @@ class TestRecurrenceCoefficients:
             assert rc.beta[n + 1] == pytest.approx(
                 jacobi_sqrt_beta(n, s) ** 2, rel=1e-11)
 
-    @pytest.mark.parametrize("method", ["analytic", "stieltjes"])
+    @pytest.mark.parametrize("method", ["auto", "stieltjes"])
     def test_laguerre_closed_forms(self, method):
         m = cc.power_law_exp_measure(1.0, 1.0)
         rc = cc.recurrence_coefficients(m, 31, method=method)

@@ -70,9 +70,9 @@ class TestClosedForms:
         assert ok
         assert abs(got) < 1e-15
 
-    def test_not_converged_flag(self):
-        got, ok = quadrature.integrate(lambda x: np.cos(2000.0 * x), 0.0, 1.0,
-                                       max_level=8)
+    def test_not_converged_flag(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", 8)
+        got, ok = quadrature.integrate(lambda x: np.cos(2000.0 * x), 0.0, 1.0)
         assert not ok
         assert np.isfinite(got)
 
@@ -101,16 +101,18 @@ class TestVectorIntegrand:
         assert np.array_equal(got, [v for v, _ in want])
         assert ok == all(c for _, c in want)
 
-    def test_leading_shape_and_flag(self):
+    def test_leading_shape_and_flag(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", 8)
+
         def vec(x):
             return np.array([[f(x) for f in self.FUNCS[:2]],
                              [np.cos(3000.0 * x), np.ones_like(x)]])
 
-        got, ok = quadrature.integrate(vec, 0.0, 1.0, max_level=8)
+        got, ok = quadrature.integrate(vec, 0.0, 1.0)
         assert got.shape == (2, 2)
         assert not ok
         assert got[1, 1] == pytest.approx(1.0, rel=1e-14)
-        want, _ = quadrature.integrate(self.FUNCS[0], 0.0, 1.0, max_level=8)
+        want, _ = quadrature.integrate(self.FUNCS[0], 0.0, 1.0)
         assert got[0, 0] == want
 
     def test_complex_components(self):
@@ -141,6 +143,9 @@ _FLAG_CALLERS = {
     "bassano_coefficients": (
         "chaincast.chainmap", 1,
         lambda: cc.bassano_coefficients(cc.power_law_sd(1.0, 0.1, 1.0), 5)),
+    "perron_invert": (
+        "chaincast.stieltjes", 2,
+        lambda: cc.perron_invert(cc.semicircle_measure(), 0.3, 1e-3)),
 }
 
 

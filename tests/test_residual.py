@@ -72,7 +72,7 @@ class TestMassIdentity:
         rd = cc.ResidualDensity.build(ohmic_sd, 0, 3)
         beta = rd.seq.rc.beta
         for n, want in ((1, 1 / 18), (2, 0.06), (3, beta[3])):
-            m = rd.measure_of_order(n)
+            m = rd.seq.member_measure(n)
             assert m.total_mass() == pytest.approx(want, abs=1e-6), n
 
 
