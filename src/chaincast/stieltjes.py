@@ -5,7 +5,12 @@ equivalently twice the principal-value transform; it is the real companion
 of the density in every secondary-measure formula.  Two generic evaluation
 routes are provided (the Lipschitz-regularized form and the
 integrated-by-parts C^1 form) plus closed forms attached to the analytic
-weight families.
+weight families.  The Lipschitz form replaces its difference quotient by
+mu' at the midpoint in a narrow band around t = x whose width is scaled to
+x's distance from the nearer endpoint.
+
+The zero of S in a gap is located by a safeguarded Newton iteration on S
+and S', with no scipy import.
 """
 
 from __future__ import annotations
@@ -41,9 +46,11 @@ __all__ = [
 # O(guard / log^2 guard) mass.
 GUARD_FRACTION = 1e-12
 
-# Half-width (fraction of the span) of the band around t = x inside which
-# the Lipschitz difference quotient is replaced by the derivative; wider
-# than the evaluation guard because it fights cancellation, not divergence.
+# Half-width of the band around t = x inside which the Lipschitz difference
+# quotient is replaced by mu' at the midpoint, as a fraction of x's distance
+# to the nearer support endpoint: wide enough that mu(t) - mu(x) keeps about
+# ten digits outside it, narrow enough to hold at most a few nodes even
+# where the tanh-sinh nodes cluster at an endpoint.
 PV_BAND_FRACTION = 1e-6
 
 # Minimum distance of a real Stieltjes argument from the support.
@@ -110,26 +117,43 @@ def _check_interior(m: Measure, x: np.ndarray) -> None:
         raise EndpointEvaluation(f"reducer needs x in [{lo}, {hi}]")
 
 
-def _weight_derivative(m: Measure, x: np.ndarray, step: float) -> np.ndarray:
+def _weight_derivative(m: Measure, x: np.ndarray, step) -> np.ndarray:
     if m.family is not None:
         return np.asarray(m.family.derivative(x), float)
     return (m.weight(x + step) - m.weight(x - step)) / (2.0 * step)
 
 
-def _pv_sums(x, mu_x, dmu_x, t, mu_t, w, delta) -> np.ndarray:
+def _pv_sums(m: Measure, x, mu_x, delta, t, mu_t, w) -> np.ndarray:
     """sum_j w_j (mu(t_j) - mu(x_i)) / (t_j - x_i) for every x_i, with the
-    quotient replaced by mu'(x_i) where |t_j - x_i| < delta; formed in row
-    blocks of at most PV_BLOCK_CELLS cells."""
+    quotient replaced by mu' at the midpoint (x_i + t_j)/2 where
+    |t_j - x_i| < delta_i; formed in row blocks of at most PV_BLOCK_CELLS
+    cells.  t must be sorted: the few band cells are found by binary search
+    and written into each block, so no dense mask is formed."""
+    # Candidates lie within 2 delta_i, a margin that the rounding of
+    # x -+ 2 delta and of t - x cannot defeat; the exact test keeps the
+    # cells a dense |t - x| < delta mask would select.
+    first = np.searchsorted(t, x - 2.0 * delta, "left")
+    counts = np.searchsorted(t, x + 2.0 * delta, "right") - first
+    ci = np.repeat(np.arange(len(x)), counts)
+    cj = np.arange(len(ci)) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    keep = np.abs(t[cj] - x[ci]) < delta[ci]
+    ci, cj = ci[keep], cj[keep]
+    band = (_weight_derivative(m, 0.5 * (x[ci] + t[cj]), 0.5 * delta[ci])
+            if len(ci) else np.empty(0))
+
     out = np.empty(len(x))
     rows = max(1, PV_BLOCK_CELLS // len(t))
-    # the quotient is overwritten wherever diff is small, including 0
+    starts = np.arange(0, len(x), rows)
+    # ci is sorted, so each block's band cells are one slice of it
+    edges = np.searchsorted(ci, np.append(starts, len(x)))
+    # t == x gives 0/0 in a band cell, which is overwritten
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(0, len(x), rows):
+        for k, i in enumerate(starts):
             blk = slice(i, i + rows)
-            diff = t[None, :] - x[blk, None]
             quot = mu_t[None, :] - mu_x[blk, None]
-            quot /= diff
-            np.copyto(quot, dmu_x[blk, None], where=np.abs(diff) < delta)
+            quot /= t[None, :] - x[blk, None]
+            cells = slice(edges[k], edges[k + 1])
+            quot[ci[cells] - i, cj[cells]] = band[cells]
             out[blk] = quot @ w
     return out
 
@@ -137,9 +161,16 @@ def _pv_sums(x, mu_x, dmu_x, t, mu_t, w, delta) -> np.ndarray:
 def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     """2 mu(x) ln((x-a)/(b-x)) - 2 int (mu(t)-mu(x))/(t-x) dt.
 
-    Within |t - x| < delta the difference quotient is replaced by mu'(x);
-    the quotient is regular there, but the cancellation in mu(t)-mu(x) is
-    not worth fighting at machine precision.
+    Within |t - x| < delta(x) = PV_BAND_FRACTION * min(x - a, b - x) the
+    difference quotient is replaced by mu' at the midpoint (x + t)/2: the
+    family derivative when the measure has one, otherwise a centered
+    difference with step delta/2, which stays inside the support.  The
+    quotient is regular there, but the cancellation in mu(t)-mu(x) is not
+    worth fighting at machine precision.  The midpoint value differs from
+    the quotient by O(mu''' delta^2), so the integrand barely jumps at the
+    band edge, and a band scaled to the distance from the nearer endpoint
+    stays clear of the tanh-sinh nodes clustered there, where mu may vary
+    like a power of that distance.
 
     The integral runs over nested tanh-sinh levels: each level after the
     first adds only its new nodes to half the previous sum, until the
@@ -149,13 +180,8 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     the node count.
     """
     a, b = m.hull
-    span = b - a
-    delta = PV_BAND_FRACTION * span
+    delta = PV_BAND_FRACTION * np.minimum(x - a, b - x)
     mu_x = np.asarray(m.weight(x), float)
-    # finite differences are centered inside the support even when x sits
-    # in the evaluation band right next to an endpoint
-    step = 0.5 * delta
-    dmu_x = _weight_derivative(m, np.clip(x, a + step, b - step), step)
 
     cur = None
     for level in range(7, quadrature.MAX_LEVEL + 1):
@@ -163,7 +189,7 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
         if cur is not None:
             new = quadrature.refinement(level)[2]
             t, w = t[new], w[new]
-        part = _pv_sums(x, mu_x, dmu_x, t, np.asarray(m.weight(t), float), w, delta)
+        part = _pv_sums(m, x, mu_x, delta, t, np.asarray(m.weight(t), float), w)
         if cur is None:
             cur = part
             continue
@@ -195,14 +221,19 @@ def _reducer_derivative_form(m: Measure, x: np.ndarray) -> np.ndarray:
     step = 0.5 * PV_BAND_FRACTION * span
     mu_a = float(np.asarray(m.weight(np.asarray(a)), float))
     mu_b = float(np.asarray(m.weight(np.asarray(b)), float))
+    rel_tol = 1e-12
     out = np.empty_like(x)
     for i, xi in enumerate(x):
-        left, _ = quadrature.integrate(
+        left, ok_left = quadrature.integrate(
             lambda t, da, db: _weight_derivative(m, t, step) * np.log(db),
-            a, xi, rel_tol=1e-12, with_distances=True)
-        right, _ = quadrature.integrate(
+            a, xi, rel_tol=rel_tol, with_distances=True)
+        right, ok_right = quadrature.integrate(
             lambda t, da, db: _weight_derivative(m, t, step) * np.log(da),
-            xi, b, rel_tol=1e-12, with_distances=True)
+            xi, b, rel_tol=rel_tol, with_distances=True)
+        for ok, lo, hi in ((ok_left, a, xi), (ok_right, xi, b)):
+            if not ok:
+                _log.warning("reducer: derivative-form quadrature not converged "
+                             "on [%r, %r] at rel_tol %g", lo, hi, rel_tol)
         out[i] = 2.0 * (mu_a * math.log(xi - a) - mu_b * math.log(b - xi)
                         + left + right)
     return out
@@ -273,11 +304,36 @@ def perron_invert(m: Measure, x: float, eps: float):
     return total / math.pi
 
 
+def _real_transform_and_slope(m: Measure, x: float) -> tuple[float, float]:
+    """S(x) and S'(x) = -int d-mu(t) / (x - t)^2 at a real x in a gap, from
+    one vector integral per support interval."""
+    rel_tol = 1e-13
+    s = ds = 0.0
+    for lo, hi in m._effective_intervals(0):
+        def f(t):
+            k = m.weight(t) / (x - t)
+            return np.array([k, -k / (x - t)])
+        (v, dv), ok = quadrature.integrate(f, lo, hi, rel_tol=rel_tol)
+        if not ok:
+            _log.warning("find_gap_zero: quadrature not converged on "
+                         "[%r, %r] at rel_tol %g", lo, hi, rel_tol)
+        s += v
+        ds += dv
+    for pm in m.point_masses:
+        d = x - pm.location
+        s += pm.mass / d
+        ds -= pm.mass / (d * d)
+    return s, ds
+
+
 def find_gap_zero(m: Measure, gap_index: int = 0):
     """Zero of S inside an interior gap; None for gapless measures.
 
     S is continuous on the gap with S -> +inf at its left edge and -> -inf
     at its right edge, so a sign change is guaranteed for positive measures.
+    S' = -int d-mu(t) / (x - t)^2 < 0 there, so the zero is unique, and a
+    safeguarded Newton iteration inside the sign-change bracket locates it
+    to 1e-14 * max(1, |gap end|).
     """
     if m.gapless:
         return None
@@ -302,11 +358,34 @@ def find_gap_zero(m: Measure, gap_index: int = 0):
         raise BracketFailure(
             f"no sign change of S found in gap ({b}, {c}); this should not "
             "happen for a positive measure")
-    # Imported on first use: a chaincast run that needs no scipy routine
-    # starts with numpy alone.
-    from scipy.optimize import brentq
-
-    return float(brentq(s_real, lo, hi, xtol=1e-14 * max(1.0, abs(c)), rtol=8.9e-16))
+    # Safeguarded Newton: S decreases strictly in the gap, so the sign of S
+    # at each iterate shrinks the bracket.  A Newton step that leaves the
+    # bracket, or is longer than half the previous step, becomes a bisection.
+    # Newton needs a handful of steps; bisection alone about 50.
+    xtol = 1e-14 * max(1.0, abs(c))
+    x = 0.5 * (lo + hi)
+    last = hi - lo
+    for _ in range(100):
+        s, ds = _real_transform_and_slope(m, x)
+        if s == 0.0:
+            return float(x)
+        if s > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = s / ds
+        if abs(step) <= xtol:
+            return float(x - step)
+        if hi - lo <= xtol:
+            return float(0.5 * (lo + hi))
+        nxt = x - step
+        if not (lo < nxt < hi and abs(step) <= 0.5 * last):
+            nxt = 0.5 * (lo + hi)
+        last = abs(nxt - x)
+        x = nxt
+    raise BracketFailure(
+        f"zero of S in gap ({b}, {c}) not located to {xtol:.3g} after "
+        f"100 safeguarded Newton steps; bracket [{lo!r}, {hi!r}]")
 
 
 def pade_defect(m: Measure, rc: RecurrenceCoefficients, n: int, z: float) -> float:

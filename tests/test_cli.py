@@ -263,7 +263,6 @@ _STARTUP_CONFIGS = {
         "spectral_density": {"family": "power_law_exp_cutoff", "s": 1.3,
                              "alpha": 0.1, "omega_c": 1.0},
         "mapping_q": 0, "sites": 10},
-    # Last: its gap zero needs brentq, which loads scipy.optimize.
     "gapped_piecewise_q0": {
         "spectral_density": {"family": "piecewise",
                              "intervals": [[0, 1, 1.0], [2, 3, 1.0]]},
@@ -308,9 +307,9 @@ class TestStartupImports:
         report = json.loads((out / "report.json").read_text())
         assert report["moment_gaps"]
 
-    def test_gap_zero_loads_brentq_lazily(self, startup_runs):
+    def test_gap_zero_runs_without_scipy(self, startup_runs):
         _, results = startup_runs
         res = results["gapped_piecewise_q0"]
         assert res["code"] == cli.EXIT_UNSUPPORTED
         assert "z0=1.5" in res["stderr"]
-        assert "scipy.optimize" in res["scipy"]
+        assert res["scipy"] == []

@@ -39,6 +39,18 @@ class TestNestedLevels:
         assert seen == expect
 
 
+class TestMappedNodes:
+    # The Lipschitz reducer finds its band cells by binary search on the
+    # mapped positions, so they must come out sorted.
+    @pytest.mark.parametrize("level", range(quadrature.MIN_LEVEL,
+                                            quadrature.MAX_LEVEL + 1))
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.04, 1.96), (-2.0, 3.0)])
+    def test_positions_non_decreasing(self, level, a, b):
+        x = quadrature.map_nodes(level, a, b)[0]
+        assert np.all(np.diff(x) >= 0.0)
+        assert a <= x[0] and x[-1] <= b
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("s", [-0.9, -0.5, 0.5, 2.0])
     def test_algebraic_endpoint_singularity(self, s):
@@ -146,6 +158,14 @@ _FLAG_CALLERS = {
     "perron_invert": (
         "chaincast.stieltjes", 2,
         lambda: cc.perron_invert(cc.semicircle_measure(), 0.3, 1e-3)),
+    "find_gap_zero": (
+        "chaincast.stieltjes", 2,
+        lambda: cc.find_gap_zero(cc.measure_from_sd(
+            cc.piecewise_uniform_sd([(0, 1, 1.0), (2, 3, 1.0)]), 0.0))),
+    "reducer": (
+        "chaincast.stieltjes", 2,
+        lambda: cc.reducer(cc.power_law_measure(2.0, 1.0), 0.3,
+                           method="derivative")),
 }
 
 

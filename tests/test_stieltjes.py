@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import chaincast as cc
-from chaincast import stieltjes
+from chaincast import quadrature, stieltjes
 from chaincast.errors import (
     EndpointEvaluation,
     GappedMeasure,
@@ -175,12 +175,13 @@ class TestLipschitzRoute:
         assert peak < 64 * 2**20
         want = 2.0 * c * (xs - 0.5 * (a + b))
         dist = np.minimum(xs - a, b - xs) / (b - a)
-        # The quotient jumps to mu'(x) at the edge of the PV band, which
-        # limits the route to about 1e-9 mid-support and 3e-8 at 1e-4 of
-        # the span from an end.
+        # In the PV band the quotient is replaced by mu' at the midpoint,
+        # within O(mu''' delta^2) of it, and the band narrows with the
+        # distance to the nearer end: the error is about 2e-12 at the ends
+        # of the evaluation band and 1e-13 elsewhere.
         err = np.abs(phi - want)
-        assert err[dist > 1e-4].max() < 1e-7
-        assert err[dist > 0.1].max() < 1e-9
+        assert err.max() < 1e-10
+        assert err[dist > 1e-4].max() < 1e-11
         # rows next to the endpoints never settle: one warning, no raise
         records = [r for r in caplog.records if r.name == "chaincast.stieltjes"]
         assert len(records) == 1
@@ -190,6 +191,148 @@ class TestLipschitzRoute:
         with caplog.at_level(logging.WARNING, logger="chaincast.stieltjes"):
             cc.reducer(weight_x, np.linspace(0.1, 0.9, 9), method="lipschitz")
         assert not caplog.records
+
+    def test_familyless_semicircle_is_its_own_residual(self):
+        # The semicircle is the fixed point of the residual map: J_1..J_3
+        # equal the terminal density on every grid the CLI would sample.
+        sd = _familyless_semicircle(0.3, 2.1, 0.7)
+        rd = cc.ResidualDensity.build(sd, 0, 3)
+        jt = cc.terminal_sd(sd, 0)
+        for points in (512, 2048):
+            grid = np.linspace(*rd.clipped_range(), points)
+            want = jt(grid)
+            for n in (1, 2, 3):
+                err = np.abs(rd(n, grid) - want).max() / want.max()
+                assert err < 1e-12, (points, n, err)
+
+    def test_familyless_semicircle_moment_gaps(self):
+        report = cc.convergence_report(_familyless_semicircle(0.3, 2.1, 0.7),
+                                       0.0, 6, residual_orders=3)
+        assert sorted(report.terminal_moment_gap) == [1, 2, 3]
+        assert report.gap_aggregate(8).max() < 1e-12
+
+    def test_phonon_report_moments_converge(self, caplog):
+        sd = _familyless_semicircle(0.0, 2.1, 0.7)
+        with caplog.at_level(logging.WARNING, logger="chaincast"):
+            cc.convergence_report(sd, 1.0, 6, residual_orders=3)
+        assert not [r for r in caplog.records
+                    if "moment quadrature not converged" in r.getMessage()]
+
+    @pytest.mark.parametrize("lo, hi", [(3e-5, 1.0), (1e-4, 2.0), (2.79e-4, 1.3),
+                                        (5e-4, 1.3)])
+    def test_flat_phonon_measure_near_zero(self, lo, hi):
+        # A flat J at q = 1 maps to a flat measure on [lo^2, hi^2], whose
+        # reducer is 2 mu ln((y - a)/(b - y)); finite differences of the
+        # piecewise weight must not sample across an endpoint.
+        m = cc.measure_from_sd(cc.piecewise_uniform_sd([(lo, hi, 0.8)]), 1.0)
+        a, b = m.hull
+        ys = np.linspace(*stieltjes.evaluation_band(m), 2048)
+        want = 2.0 * (0.8 / math.pi) * np.log((ys - a) / (b - ys))
+        np.testing.assert_allclose(cc.reducer(m, ys), want, rtol=1e-12, atol=0)
+
+    def test_power_law_matches_mpmath(self):
+        # mu = c x**0.7 on [0, 1] has a family derivative but no closed-form
+        # reducer; the rows run from the start of the evaluation band, where
+        # mu' diverges, to its end.
+        mp = pytest.importorskip("mpmath")
+        m = cc.measure_from_sd(cc.power_law_sd(0.7, 0.1, 1.0), 0.0)
+        fam = m.family
+        lo, hi = stieltjes.evaluation_band(m)
+        xs = np.array([lo, 1e-7, 0.3, 0.77, hi])
+        got = cc.reducer(m, xs)
+        mp.mp.dps = 30
+        s, c, cut = mp.mpf(fam.s), mp.mpf(fam.c), mp.mpf(fam.cut)
+        for x, g in zip(xs, got):
+            x = mp.mpf(x)
+
+            def quot(t, x=x):
+                return (t**s - x**s) / (t - x) if t != x else s * x ** (s - 1)
+
+            want = 2 * c * (x**s * mp.log(x / (cut - x)) - mp.quad(quot, [0, x, cut]))
+            assert abs(g - float(want)) < 1e-12 * max(1.0, abs(float(want))), x
+
+
+def _familyless_semicircle(a, b, c):
+    return cc.custom_sd(lambda w: c * np.sqrt(np.maximum((w - a) * (b - w), 0.0)),
+                        ((a, b),), ((0.5, 0.5),))
+
+
+def _pv_sums_dense(m, x, mu_x, delta, t, mu_t, w):
+    """The band rule of ``stieltjes._pv_sums`` with dense masks: mu' at the
+    midpoint is formed for every cell and selected by |t - x| < delta, in
+    the same row blocks."""
+    out = np.empty(len(x))
+    rows = max(1, stieltjes.PV_BLOCK_CELLS // len(t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, len(x), rows):
+            blk = slice(i, i + rows)
+            diff = t[None, :] - x[blk, None]
+            quot = (mu_t[None, :] - mu_x[blk, None]) / diff
+            mid = 0.5 * (x[blk, None] + t[None, :])
+            step = 0.5 * delta[blk, None]
+            if m.family is not None:
+                slope = m.family.derivative(mid)
+            else:
+                slope = (m.weight(mid + step) - m.weight(mid - step)) / (2.0 * step)
+            band = np.abs(diff) < delta[blk, None]
+            out[blk] = np.where(band, slope, quot) @ w
+    return out
+
+
+class TestPvKernel:
+    """``_pv_sums`` finds its band cells by binary search and must give,
+    bit for bit, what dense masks give, on the node sets the reducer
+    passes it."""
+
+    MEASURES = {
+        "semicircle_q0": lambda: cc.measure_from_sd(
+            _familyless_semicircle(0.3, 2.1, 0.7), 0.0),
+        "semicircle_q1": lambda: cc.measure_from_sd(
+            _familyless_semicircle(0.0, 1.3, 0.7), 1.0),
+        "power_law_family": lambda: cc.power_law_measure(0.2, 0.7, 1.69),
+    }
+
+    @staticmethod
+    def _rows(m, t):
+        a, b = m.hull
+        lo, hi = stieltjes.evaluation_band(m)
+        span = b - a
+        lin = np.linspace(lo, hi, 97)
+        # node 0 of every level: t - x is exactly 0 there in level 7
+        mid_node = quadrature.map_nodes(7, a, b)[0]
+        mid_node = mid_node[len(mid_node) // 2]
+        inner = t[(t >= lo) & (t <= hi)]
+        sub = inner[len(inner) // 7::max(1, len(inner) // 20)]
+        near_end = span * np.array([1.5e-12, 4e-12])
+        return {
+            "linspace": lin,
+            "shuffled": np.random.default_rng(5).permutation(lin),
+            "nodes": np.append(inner[::max(1, len(inner) // 40)], mid_node),
+            "ends": np.concatenate([[lo], a + near_end, b - near_end, [hi]]),
+            # inside the band, and outside it but inside the 2 delta window
+            # of candidates
+            "near_nodes": np.concatenate([
+                sub + f * stieltjes.PV_BAND_FRACTION * np.minimum(sub - a, b - sub)
+                for f in (0.4, -0.7, 1.5, -1.9)]),
+        }
+
+    @pytest.mark.parametrize("level", range(7, quadrature.MAX_LEVEL + 1))
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_matches_dense_masks(self, name, level):
+        m = self.MEASURES[name]()
+        a, b = m.hull
+        t, _, _, w = quadrature.map_nodes(level, a, b)
+        if level > 7:
+            new = quadrature.refinement(level)[2]
+            t, w = t[new], w[new]
+        mu_t = np.asarray(m.weight(t), float)
+        for kind, x in self._rows(m, t).items():
+            delta = stieltjes.PV_BAND_FRACTION * np.minimum(x - a, b - x)
+            mu_x = np.asarray(m.weight(x), float)
+            got = stieltjes._pv_sums(m, x, mu_x, delta, t, mu_t, w)
+            want = _pv_sums_dense(m, x, mu_x, delta, t, mu_t, w)
+            assert np.all(np.isfinite(got)), kind
+            assert np.array_equal(got, want), kind
 
 
 class TestPerronInversion:
@@ -232,6 +375,34 @@ class TestGapZero:
         z0 = cc.find_gap_zero(m)
         assert 1.0 < z0 < 2.0
         assert abs(cc.stieltjes_transform(m, z0).real) < 1e-10
+
+    def test_matches_brentq(self):
+        # S decreases strictly in a gap, so brentq on any sign-change
+        # bracket finds the same zero.
+        from scipy.optimize import brentq
+        rng = np.random.default_rng(11)
+        for i in range(16):
+            lo1 = rng.uniform(0.3, 1.0)
+            hi1 = lo1 + rng.uniform(0.3, 2.0)
+            lo2 = hi1 + rng.uniform(0.3, 2.0)
+            hi2 = lo2 + rng.uniform(0.3, 2.0)
+            h, p = rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)
+            sd = cc.custom_sd(lambda w, h=h, p=p: h * np.asarray(w, float) ** p,
+                              ((lo1, hi1), (lo2, hi2)))
+            m = cc.measure_from_sd(sd, float(i % 2))
+            got = cc.find_gap_zero(m)
+            (_, b), (c, _) = m.support
+
+            def s_real(x, m=m):
+                return cc.stieltjes_transform(m, x).real
+
+            gap = c - b
+            frac = 1e-3
+            while s_real(b + frac * gap) * s_real(c - frac * gap) > 0:
+                frac *= 0.1
+            want = brentq(s_real, b + frac * gap, c - frac * gap,
+                          xtol=1e-15, rtol=8.9e-16)
+            assert abs(got - want) <= 1e-13 * abs(want), (i, got, want)
 
     def test_secondary_prerequisite_pairing(self, gapped_sd):
         # Gapped: the Stieltjes zero exists AND the secondary construction
