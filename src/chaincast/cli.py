@@ -40,9 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chainmap import chain_coefficients
+from .chainmap import chain_coefficients, measure_from_sd
 from .convergence import convergence_report
 from .errors import (
+    BracketFailure,
     ChaincastError,
     ConfigError,
     DivergentMoment,
@@ -278,13 +279,16 @@ def run(config: JobConfig) -> int:
                   file=sys.stderr)
             return EXIT_UNSUPPORTED
         if not config.sd.gapless:
-            from .chainmap import measure_from_sd
-            z0 = find_gap_zero(measure_from_sd(config.sd, config.mapping_q))
+            # Unsupported whether or not the zero can be located.
+            try:
+                z0 = find_gap_zero(measure_from_sd(config.sd, config.mapping_q))
+            except BracketFailure as exc:
+                where = f"zero in the gap not located: {exc}"
+            else:
+                where = f"vanishes at z0={z0:.12g} inside the gap"
             print("unsupported: residual densities of a gapped spectral "
-                  f"density (Stieltjes transform vanishes at z0={z0:.12g} "
-                  "inside the gap)", file=sys.stderr)
+                  f"density (Stieltjes transform {where})", file=sys.stderr)
             return EXIT_UNSUPPORTED
-    if positive_orders:
         rd = ResidualDensity.build(config.sd, int(config.mapping_q),
                                    max(positive_orders))
         clipped = rd.clipped_range()

@@ -46,7 +46,7 @@ class GappedMeasure(ChaincastError):
 
 
 class BracketFailure(ChaincastError):
-    """No sign change found where one was guaranteed."""
+    """A zero of a monotone function was not located in its interval."""
 
 
 class InsufficientMoments(ChaincastError):

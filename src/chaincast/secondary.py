@@ -35,7 +35,7 @@ from .orthopoly import (
     recurrence_coefficients,
     secondary_table,
 )
-from .stieltjes import GUARD_FRACTION, reducer
+from .stieltjes import evaluation_band, reducer
 
 __all__ = [
     "SecondarySequence",
@@ -123,16 +123,14 @@ class SecondarySequence:
         """
         if n == 0:
             return self.base
-        a, b = self.base.hull
-        if math.isinf(b):
+        if not self.base.bounded:
             raise UnsupportedMeasure(
                 "member measures need bounded support (off the Szego class "
                 "the sequence has no integrable limit anyway)")
-        guard = GUARD_FRACTION * (b - a)
         (s_left, _), = self.base.endpoint_exponents
         return Measure(
             weight=lambda x: self.density(n, x),
-            support=((a + guard, b - guard),),
+            support=(evaluation_band(self.base),),
             endpoint_exponents=((s_left, 0.0),),
         )
 

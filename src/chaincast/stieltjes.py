@@ -9,8 +9,9 @@ weight families.  The Lipschitz form replaces its difference quotient by
 mu' at the midpoint in a narrow band around t = x whose width is scaled to
 x's distance from the nearer endpoint.
 
-The zero of S in a gap is located by a safeguarded Newton iteration on S
-and S', with no scipy import.
+Every real-axis integral of a kernel of x - t (the Perron inversion, the
+integrated-by-parts reducer, S and S' in a gap) forms x - t from tanh-sinh
+node distances, so it stays accurate however close x is to the support.
 """
 
 from __future__ import annotations
@@ -217,25 +218,15 @@ def _reducer_derivative_form(m: Measure, x: np.ndarray) -> np.ndarray:
     dropped, so nothing divides by x.
     """
     a, b = m.hull
-    span = b - a
-    step = 0.5 * PV_BAND_FRACTION * span
+    step = 0.5 * PV_BAND_FRACTION * (b - a)
     mu_a = float(np.asarray(m.weight(np.asarray(a)), float))
     mu_b = float(np.asarray(m.weight(np.asarray(b)), float))
-    rel_tol = 1e-12
     out = np.empty_like(x)
-    for i, xi in enumerate(x):
-        left, ok_left = quadrature.integrate(
-            lambda t, da, db: _weight_derivative(m, t, step) * np.log(db),
-            a, xi, rel_tol=rel_tol, with_distances=True)
-        right, ok_right = quadrature.integrate(
-            lambda t, da, db: _weight_derivative(m, t, step) * np.log(da),
-            xi, b, rel_tol=rel_tol, with_distances=True)
-        for ok, lo, hi in ((ok_left, a, xi), (ok_right, xi, b)):
-            if not ok:
-                _log.warning("reducer: derivative-form quadrature not converged "
-                             "on [%r, %r] at rel_tol %g", lo, hi, rel_tol)
-        out[i] = 2.0 * (mu_a * math.log(xi - a) - mu_b * math.log(b - xi)
-                        + left + right)
+    for i, xi in enumerate(x.tolist()):
+        part = _real_axis_integral(
+            m, xi, lambda d, dmu: dmu * np.log(np.abs(d)), "reducer", 1e-12,
+            density=lambda t: _weight_derivative(m, t, step))
+        out[i] = 2.0 * (mu_a * math.log(xi - a) - mu_b * math.log(b - xi) + part)
     return out
 
 
@@ -268,72 +259,61 @@ def reducer(m: Measure, x, method: str = "auto"):
     return vals if np.ndim(x) else float(vals[0])
 
 
+def _real_axis_integral(m: Measure, x: float, kernel, stage: str,
+                       rel_tol: float, density=None):
+    """int kernel(x - t, mu(t)) dt over the support plus kernel(x - t_k, m_k)
+    over the point masses; ``density`` replaces the weight mu when given.
+
+    An interval containing x is split there, and x - t is formed from the
+    node's distance to the end of its piece nearest x, so it keeps full
+    relative accuracy however close t comes to x.  Each unconverged piece
+    logs one warning under ``stage``.
+    """
+    density = m.weight if density is None else density
+    total = 0.0
+    for lo, hi in m._effective_intervals(0):
+        for a, b in ((lo, x), (x, hi)) if lo < x < hi else ((lo, hi),):
+            if b <= x:
+                def f(t, da, db, b=b):
+                    return kernel(db + (x - b), density(t))
+            else:
+                def f(t, da, db, a=a):
+                    return kernel(-(da + (a - x)), density(t))
+            val, ok = quadrature.integrate(f, a, b, rel_tol=rel_tol,
+                                           with_distances=True)
+            if not ok:
+                _log.warning("%s: quadrature not converged on [%r, %r] at "
+                             "rel_tol %g", stage, a, b, rel_tol)
+            total += val
+    for pm in m.point_masses:
+        total += kernel(x - pm.location, pm.mass)
+    return total
+
+
 def perron_invert(m: Measure, x: float, eps: float):
     """(1/2 pi i) [S(x - ie) - S(x + ie)] = (1/pi) Im S(x - ie).
 
     Approaches the weight at interior Lipschitz points as eps -> 0; used as
-    a self-test of the transform, not as a computation path.  The Poisson
-    kernel is integrated with the singular point pinned at a panel
-    endpoint, so small eps stays resolved.
+    a self-test of the transform, not as a computation path.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rel_tol = 1e-12
-    total = 0.0
-    for lo, hi in m._effective_intervals(0):
-        if lo < x < hi:
-            pieces = [(lo, x, "end"), (x, hi, "start")]
-        elif x <= lo:
-            pieces = [(lo, hi, "start")]
-        else:
-            pieces = [(lo, hi, "end")]
-        for a, b, where in pieces:
-            # t - x measured from the piece endpoint nearest the pole, so the
-            # Poisson kernel stays resolved for small eps.
-            def f(t, da, db, a=a, b=b, where=where):
-                d = da + (a - x) if where == "start" else db + (x - b)
-                return m.weight(t) * eps / (d * d + eps * eps)
-            val, ok = quadrature.integrate(f, a, b, rel_tol=rel_tol,
-                                           with_distances=True)
-            if not ok:
-                _log.warning("perron_invert: quadrature not converged on "
-                             "[%r, %r] at rel_tol %g", a, b, rel_tol)
-            total += val
-    for pm in m.point_masses:
-        total += pm.mass * eps / ((x - pm.location) ** 2 + eps * eps)
+    total = _real_axis_integral(
+        m, x, lambda d, mu: mu * eps / (d * d + eps * eps), "perron_invert", 1e-12)
     return total / math.pi
 
 
-def _real_transform_and_slope(m: Measure, x: float) -> tuple[float, float]:
-    """S(x) and S'(x) = -int d-mu(t) / (x - t)^2 at a real x in a gap, from
-    one vector integral per support interval."""
-    rel_tol = 1e-13
-    s = ds = 0.0
-    for lo, hi in m._effective_intervals(0):
-        def f(t):
-            k = m.weight(t) / (x - t)
-            return np.array([k, -k / (x - t)])
-        (v, dv), ok = quadrature.integrate(f, lo, hi, rel_tol=rel_tol)
-        if not ok:
-            _log.warning("find_gap_zero: quadrature not converged on "
-                         "[%r, %r] at rel_tol %g", lo, hi, rel_tol)
-        s += v
-        ds += dv
-    for pm in m.point_masses:
-        d = x - pm.location
-        s += pm.mass / d
-        ds -= pm.mass / (d * d)
-    return s, ds
-
-
 def find_gap_zero(m: Measure, gap_index: int = 0):
-    """Zero of S inside an interior gap; None for gapless measures.
+    """Zero of S inside an interior gap (b, c); None for gapless measures.
 
-    S is continuous on the gap with S -> +inf at its left edge and -> -inf
-    at its right edge, so a sign change is guaranteed for positive measures.
-    S' = -int d-mu(t) / (x - t)^2 < 0 there, so the zero is unique, and a
-    safeguarded Newton iteration inside the sign-change bracket locates it
-    to 1e-14 * max(1, |gap end|).
+    S' = -int d-mu(t) / (x - t)^2 < 0 on the gap, so the zero is unique if
+    it exists.  Where the weight vanishes at an edge, S stays finite there
+    and may keep one sign over the whole gap.  A safeguarded Newton
+    iteration on S and S' runs on the open gap.  It raises BracketFailure
+    only when S has one sign at the doubles next to both edges, so that any
+    zero lies within one ulp of an edge; such a zero is still returned, as
+    the double next to the edge, when the Newton step from that double is
+    shorter than half an ulp.
     """
     if m.gapless:
         return None
@@ -341,51 +321,40 @@ def find_gap_zero(m: Measure, gap_index: int = 0):
     if not 0 <= gap_index < len(gaps):
         raise IndexError(f"gap index {gap_index} outside 0..{len(gaps) - 1}")
     b, c = gaps[gap_index]
-    width = c - b
-    guard = max(POLE_GUARD_FRACTION * _span(m) * 1.01, 1e-13 * width)
-
-    def s_real(x: float) -> float:
-        return stieltjes_transform(m, complex(x)).real
-
-    frac = 1e-3
-    lo, hi = b + frac * width, c - frac * width
-    f_lo, f_hi = s_real(lo), s_real(hi)
-    while f_lo * f_hi > 0 and frac * width > guard:
-        frac *= 0.1
-        lo, hi = b + max(frac * width, guard), c - max(frac * width, guard)
-        f_lo, f_hi = s_real(lo), s_real(hi)
-    if f_lo * f_hi > 0:
-        raise BracketFailure(
-            f"no sign change of S found in gap ({b}, {c}); this should not "
-            "happen for a positive measure")
-    # Safeguarded Newton: S decreases strictly in the gap, so the sign of S
-    # at each iterate shrinks the bracket.  A Newton step that leaves the
-    # bracket, or is longer than half the previous step, becomes a bisection.
-    # Newton needs a handful of steps; bisection alone about 50.
     xtol = 1e-14 * max(1.0, abs(c))
-    x = 0.5 * (lo + hi)
-    last = hi - lo
+    # The sign of S at each iterate shrinks the bracket (lo, hi), whose ends
+    # stay at the gap edges until S is seen positive (lo) or negative (hi).
+    # A Newton step that leaves the bracket or exceeds half the previous step
+    # becomes a bisection, or, across an edge not yet left, a probe of the
+    # double next to that edge.
+    lo, hi, x, last = b, c, 0.5 * (b + c), c - b
     for _ in range(100):
-        s, ds = _real_transform_and_slope(m, x)
-        if s == 0.0:
-            return float(x)
-        if s > 0.0:
-            lo = x
-        else:
-            hi = x
+        s, ds = _real_axis_integral(
+            m, x, lambda d, mu: np.array([mu / d, -mu / d / d]), "find_gap_zero",
+            1e-13)
+        lo, hi = (x, hi) if s > 0.0 else (lo, x)
         step = s / ds
-        if abs(step) <= xtol:
+        # Next to an edge where the weight vanishes like a power below 1,
+        # S' -> -inf and so S/S' -> 0 while S != 0, but there the step
+        # reaches past the edge; a tiny step well inside the gap has converged.
+        if abs(step) <= xtol and 2.0 * abs(step) < min(x - b, c - x):
             return float(x - step)
-        if hi - lo <= xtol:
-            return float(0.5 * (lo + hi))
         nxt = x - step
         if not (lo < nxt < hi and abs(step) <= 0.5 * last):
-            nxt = 0.5 * (lo + hi)
-        last = abs(nxt - x)
-        x = nxt
+            nxt = (math.nextafter(c, b) if nxt >= hi == c else
+                   math.nextafter(b, c) if nxt <= lo == b else 0.5 * (lo + hi))
+        if not lo < nxt < hi:  # no double left inside the bracket
+            if b < lo and hi < c:
+                return float(x)
+            raise BracketFailure(
+                f"S has one sign on gap ({b}, {c}): it is "
+                f"{'positive' if s > 0 else 'negative'} at {x!r}, the double "
+                f"next to the {'right' if lo > b else 'left'} edge, so any "
+                "zero lies within one ulp of that edge")
+        last, x = abs(nxt - x), nxt
     raise BracketFailure(
-        f"zero of S in gap ({b}, {c}) not located to {xtol:.3g} after "
-        f"100 safeguarded Newton steps; bracket [{lo!r}, {hi!r}]")
+        f"zero of S in gap ({b}, {c}) not located after 100 safeguarded "
+        f"Newton steps; bracket [{lo!r}, {hi!r}]")
 
 
 def pade_defect(m: Measure, rc: RecurrenceCoefficients, n: int, z: float) -> float:

@@ -127,6 +127,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert "z0=1.5" in err
 
+    def test_gapped_residuals_exit_4_when_zero_not_located(self, tmp_path, capsys):
+        # The heavy right piece pushes the zero to within one ulp of 1.0:
+        # the request is unsupported all the same.
+        path = write_config(tmp_path / "job.json", {
+            "spectral_density": {"family": "piecewise",
+                                 "intervals": [[0, 1, 0.01], [1.3, 2, 100]]},
+            "mapping_q": 0, "sites": 6, "residual_orders": [1]})
+        assert cli.main(["run", "--config", path]) == cli.EXIT_UNSUPPORTED
+        err = capsys.readouterr().err
+        assert err.startswith("unsupported:") and "not located" in err
+        assert "within one ulp" in err
+        assert (tmp_path / "chain.csv").exists()
+        assert not (tmp_path / "residual.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
     def test_unavailable_reducer_exits_4(self, tmp_path, capsys):
         # Neither reducer route exists: the Laguerre closed form needs an
         # integer s, the Lipschitz route bounded support.

@@ -8,6 +8,7 @@ import pytest
 import chaincast as cc
 from chaincast import quadrature, stieltjes
 from chaincast.errors import (
+    BracketFailure,
     EndpointEvaluation,
     GappedMeasure,
     PoleTooClose,
@@ -403,6 +404,108 @@ class TestGapZero:
             want = brentq(s_real, b + frac * gap, c - frac * gap,
                           xtol=1e-15, rtol=8.9e-16)
             assert abs(got - want) <= 1e-13 * abs(want), (i, got, want)
+
+    def test_zero_next_to_a_light_edge_matches_mpmath(self):
+        # A light left piece meets a heavy right one: the zero lies 3.2e-10
+        # past the left edge, closer than stieltjes_transform's pole guard.
+        mpmath = pytest.importorskip("mpmath")
+        c0, p = 1.2398, 1.7058
+        support = ((0.09290, 0.32523), (1.12329, 2.63209))
+        sd = cc.custom_sd(lambda w: c0 * np.asarray(w, float) ** p, support)
+        got = cc.find_gap_zero(cc.measure_from_sd(sd, 0.0))
+        b = support[0][1]
+        with mpmath.workdps(40):
+            def s(x):
+                return sum(mpmath.quad(lambda t: t ** mpmath.mpf(p) / (x - t),
+                                       [mpmath.mpf(lo), mpmath.mpf(hi)])
+                           for lo, hi in support)
+            want = mpmath.findroot(s, (mpmath.mpf(b) + mpmath.mpf(10) ** -30,
+                                       mpmath.mpf(b) + mpmath.mpf(10) ** -6),
+                                   solver="anderson")
+            assert 0 < got - b < 1e-9
+            assert abs((got - want) / want) < 1e-14
+
+    def test_one_signed_gap_names_the_ulp_condition(self):
+        # Semicircle pieces vanish at the gap edges, so S stays finite there;
+        # with the right piece 100x heavier S < 0 on the whole gap.
+        def weight(w):
+            w = np.asarray(w, float)
+            left = np.sqrt(np.clip(w * (1.0 - w), 0.0, None))
+            right = 100.0 * np.sqrt(np.clip((w - 2.0) * (3.0 - w), 0.0, None))
+            return np.where(w < 1.5, left, right)
+
+        sd = cc.custom_sd(weight, ((0.0, 1.0), (2.0, 3.0)))
+        with pytest.raises(BracketFailure) as info:
+            cc.find_gap_zero(cc.measure_from_sd(sd, 0.0))
+        msg = str(info.value)
+        assert "gap (1.0, 2.0)" in msg and "within one ulp" in msg
+        assert "should not happen" not in msg
+
+    def test_flat_gapped_scan(self, caplog):
+        # Flat pieces drawn from seed 3; pairs 155, 255 and 398 have their
+        # zero between one ulp and 1e-14 * c from an edge.
+        from scipy.optimize import brentq
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(3)
+        cases = []
+        for i in range(400):
+            lo1 = rng.uniform(0, 1)
+            hi1 = lo1 + rng.uniform(0.3, 2)
+            lo2 = hi1 + rng.uniform(0.3, 2)
+            hi2 = lo2 + rng.uniform(0.3, 2)
+            h1, h2 = 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2)
+            if i < 40 or i in (155, 255, 398):
+                cases.append((i, [(lo1, hi1, h1), (lo2, hi2, h2)]))
+        raised = 0
+        for i, pieces in cases:
+            m = cc.measure_from_sd(cc.piecewise_uniform_sd(pieces), float(i % 2))
+            (_, b), (c, _) = m.support
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="chaincast"):
+                try:
+                    got = cc.find_gap_zero(m)
+                except BracketFailure:
+                    got = None
+            assert caplog.records == [], i
+
+            # Closed form of the flat measure (heights h / pi on m.support);
+            # S -> +inf at b and -inf at c, so bisection finds the zero.
+            def s_exact(x, m=m, pieces=pieces):
+                x = mpmath.mpf(x)
+                return sum(h * (mpmath.log(abs(x - lo)) - mpmath.log(abs(x - hi)))
+                           for (lo, hi), (_, _, h) in zip(m.support, pieces))
+
+            with mpmath.workdps(40):
+                if got is None:
+                    raised += 1
+                    left, right = math.nextafter(b, c), math.nextafter(c, b)
+                    assert (s_exact(left) > 0) == (s_exact(right) > 0), i
+                    continue
+                lo, hi = mpmath.mpf(b) + 1e-40, mpmath.mpf(c) - 1e-40
+                for _ in range(160):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if s_exact(mid) > 0 else (lo, mid)
+                assert abs((got - lo) / lo) < 2e-15, i
+            if i >= 40:
+                assert 0 < min(got - b, c - got) < 1e-14 * c, i
+                continue
+
+            def s_real(x, m=m):
+                return cc.stieltjes_transform(m, x).real
+
+            gap = c - b
+            for frac in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+                try:
+                    if s_real(b + frac * gap) * s_real(c - frac * gap) < 0:
+                        break
+                except PoleTooClose:
+                    pass
+            else:
+                continue
+            want = brentq(s_real, b + frac * gap, c - frac * gap,
+                          xtol=1e-15, rtol=8.9e-16)
+            assert abs(got - want) <= 1e-13 * abs(want), (i, got, want)
+        assert raised == 13
 
     def test_secondary_prerequisite_pairing(self, gapped_sd):
         # Gapped: the Stieltjes zero exists AND the secondary construction
