@@ -57,8 +57,9 @@ PV_BAND_FRACTION = 1e-6
 # Minimum distance of a real Stieltjes argument from the support.
 POLE_GUARD_FRACTION = 1e-8
 
-# The Lipschitz reducer refines levels 7..quadrature.MAX_LEVEL until the
-# largest relative change over x falls below this.
+# The Lipschitz reducer refines each row x from quadrature.MIN_LEVEL until
+# the row's relative change between two levels falls below this, or up to
+# quadrature.MAX_LEVEL.
 PV_REL_TOL = 1e-13
 
 # Kernel cells (x rows times t nodes) formed at once: bounds the reducer's
@@ -173,38 +174,49 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     stays clear of the tanh-sinh nodes clustered there, where mu may vary
     like a power of that distance.
 
-    The integral runs over nested tanh-sinh levels: each level after the
-    first adds only its new nodes to half the previous sum, until the
-    largest relative change over x is below PV_REL_TOL or the last level
-    is reached (logged as a warning, not raised).  The kernel is formed in
-    row blocks (``_pv_sums``), so memory does not grow with len(x) times
-    the node count.
+    The integral runs over nested tanh-sinh levels from
+    quadrature.MIN_LEVEL: each level after the first adds only its new
+    nodes to half the previous sum.  Rows refine one by one, as the
+    components of ``quadrature.integrate`` do: a row whose relative change
+    falls below PV_REL_TOL keeps that level's value and drops out, so only
+    rows that do not settle (on an even grid, those within about 1e-12 of
+    the span from an endpoint) run on to the last level, where they are
+    logged as a warning, not raised.  The kernel is formed in row blocks
+    (``_pv_sums``), so memory does not grow with len(x) times the node
+    count.
     """
     a, b = m.hull
     delta = PV_BAND_FRACTION * np.minimum(x - a, b - x)
     mu_x = np.asarray(m.weight(x), float)
 
+    out = np.empty(len(x))
+    active = np.arange(len(x))
     cur = None
-    for level in range(7, quadrature.MAX_LEVEL + 1):
+    for level in range(quadrature.MIN_LEVEL, quadrature.MAX_LEVEL + 1):
         t, _, _, w = quadrature.map_nodes(level, a, b)
         if cur is not None:
             new = quadrature.refinement(level)[2]
             t, w = t[new], w[new]
-        part = _pv_sums(m, x, mu_x, delta, t, np.asarray(m.weight(t), float), w)
+        part = _pv_sums(m, x[active], mu_x[active], delta[active], t,
+                        np.asarray(m.weight(t), float), w)
         if cur is None:
             cur = part
             continue
         prev = cur
         cur = 0.5 * prev + part
-        scale = np.abs(cur) + np.abs(mu_x) + 1e-300
-        change = float(np.max(np.abs(cur - prev) / scale))
-        if change < PV_REL_TOL:
+        change = np.abs(cur - prev) / (np.abs(cur) + np.abs(mu_x[active]) + 1e-300)
+        done = change < PV_REL_TOL
+        out[active[done]] = cur[done]
+        active, cur, change = active[~done], cur[~done], change[~done]
+        if not len(active):
             break
     else:
-        _log.warning("Lipschitz reducer not converged at level %d: max relative "
-                     "change %.3g, required < %.3g (%d points)",
-                     quadrature.MAX_LEVEL, change, PV_REL_TOL, len(x))
-    return 2.0 * mu_x * np.log((x - a) / (b - x)) - 2.0 * cur
+        out[active] = cur
+        _log.warning("Lipschitz reducer not converged at level %d on %d of %d "
+                     "points: max relative change %.3g, required < %.3g",
+                     quadrature.MAX_LEVEL, len(active), len(x), change.max(),
+                     PV_REL_TOL)
+    return 2.0 * mu_x * np.log((x - a) / (b - x)) - 2.0 * out
 
 
 def _reducer_derivative_form(m: Measure, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -253,6 +254,59 @@ class TestLipschitzRoute:
             assert abs(g - float(want)) < 1e-12 * max(1.0, abs(float(want))), x
 
 
+class TestRowRefinement:
+    """Each row of the Lipschitz reducer refines on its own: a converged row
+    keeps its level's value and leaves the kernel."""
+
+    @pytest.fixture
+    def pv_rows(self, monkeypatch):
+        rows = []
+        kernel = stieltjes._pv_sums
+
+        def counted(m, x, *args):
+            rows.append(len(x))
+            return kernel(m, x, *args)
+
+        monkeypatch.setattr(stieltjes, "_pv_sums", counted)
+        return rows
+
+    def test_rows_are_independent(self, caplog):
+        m = cc.measure_from_sd(_familyless_semicircle(0.3, 2.1, 0.7), 0.0)
+        xs = np.linspace(*stieltjes.evaluation_band(m), 300)
+        with caplog.at_level(logging.WARNING, logger="chaincast.stieltjes"):
+            stacked = cc.reducer(m, xs)
+            # the two band-end rows run to the last level; the others must
+            # not notice whether they are there
+            inner = cc.reducer(m, xs[1:-1])
+            single = np.array([cc.reducer(m, x) for x in xs])
+        # relative to |phi| + |mu(x)|, the scale of the route's own
+        # convergence test, since phi crosses zero mid-span
+        scale = np.abs(stacked) + np.asarray(m.weight(xs), float)
+        assert np.all(np.abs(stacked[1:-1] - inner) <= 1e-15 * scale[1:-1])
+        assert np.all(np.abs(stacked - single) <= 1e-15 * scale)
+
+    def test_flat_measure_converges_at_the_first_comparison(self, pv_rows):
+        m = cc.measure_from_sd(cc.piecewise_uniform_sd([(0.1, 1.7, 0.8)]), 0.0)
+        cc.reducer(m, np.linspace(*stieltjes.evaluation_band(m), 2048))
+        assert pv_rows == [2048, 2048]
+
+    def test_only_unconverged_rows_refine(self, pv_rows, caplog):
+        m = cc.measure_from_sd(_familyless_semicircle(0.3, 2.1, 0.7), 0.0)
+        xs = np.linspace(*stieltjes.evaluation_band(m), 4096)
+        with caplog.at_level(logging.WARNING, logger="chaincast.stieltjes"):
+            cc.reducer(m, xs)
+        assert len(pv_rows) == quadrature.MAX_LEVEL - quadrature.MIN_LEVEL + 1
+        assert pv_rows[:2] == [4096, 4096]
+        assert pv_rows[2] < 64
+        assert pv_rows[2:] == sorted(pv_rows[2:], reverse=True)
+        assert 0 < pv_rows[-1] <= 8
+        records = [r for r in caplog.records if r.name == "chaincast.stieltjes"]
+        assert len(records) == 1
+        # the rows still open after the last level are among those it ran
+        missed = re.search(r"on (\d+) of 4096 points", records[0].getMessage())
+        assert 0 < int(missed.group(1)) <= pv_rows[-1]
+
+
 def _familyless_semicircle(a, b, c):
     return cc.custom_sd(lambda w: c * np.sqrt(np.maximum((w - a) * (b - w), 0.0)),
                         ((a, b),), ((0.5, 0.5),))
@@ -299,8 +353,8 @@ class TestPvKernel:
         lo, hi = stieltjes.evaluation_band(m)
         span = b - a
         lin = np.linspace(lo, hi, 97)
-        # node 0 of every level: t - x is exactly 0 there in level 7
-        mid_node = quadrature.map_nodes(7, a, b)[0]
+        # node 0 of every level: t - x is exactly 0 there in the first level
+        mid_node = quadrature.map_nodes(quadrature.MIN_LEVEL, a, b)[0]
         mid_node = mid_node[len(mid_node) // 2]
         inner = t[(t >= lo) & (t <= hi)]
         sub = inner[len(inner) // 7::max(1, len(inner) // 20)]
@@ -317,13 +371,14 @@ class TestPvKernel:
                 for f in (0.4, -0.7, 1.5, -1.9)]),
         }
 
-    @pytest.mark.parametrize("level", range(7, quadrature.MAX_LEVEL + 1))
+    @pytest.mark.parametrize("level", range(quadrature.MIN_LEVEL,
+                                            quadrature.MAX_LEVEL + 1))
     @pytest.mark.parametrize("name", sorted(MEASURES))
     def test_matches_dense_masks(self, name, level):
         m = self.MEASURES[name]()
         a, b = m.hull
         t, _, _, w = quadrature.map_nodes(level, a, b)
-        if level > 7:
+        if level > quadrature.MIN_LEVEL:
             new = quadrature.refinement(level)[2]
             t, w = t[new], w[new]
         mu_t = np.asarray(m.weight(t), float)
