@@ -15,14 +15,12 @@ construction coincide with beta_n and alpha_{n-1} of the phonon measure.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import quadrature
 from .errors import DomainError, GappedMeasure, IllConditioned
 from .measures import Measure, SpectralDensity, TailBound
 from .orthopoly import RecurrenceCoefficients, recurrence_coefficients
@@ -36,9 +34,6 @@ __all__ = [
     "bassano_coefficients",
 ]
 
-_log = logging.getLogger(__name__)
-
-
 @dataclass(frozen=True)
 class MappingKernel:
     """G_q, its inverse, and the Bogoliubov amplitude xi_q (r_q = ln xi_q).
@@ -49,7 +44,9 @@ class MappingKernel:
                  / (4 * (2 sqrt(q^4 + 4 (1-q^2) x^2) + q (1 + q^2)))
 
     which is cancellation-free for every q in [0, 1] and takes the q -> 1
-    limit G_1(x) = x^2 without a branch.
+    limit G_1(x) = x^2 without a branch.  G_q(inf) = inf for every q (the
+    end of unbounded support), where the quotient would read inf/inf and,
+    at q = 1, the root 0 * inf.
     """
 
     q: float
@@ -60,9 +57,11 @@ class MappingKernel:
         if q == 0.0:
             out = x
         else:
+            inf = np.isinf(x)
+            x = np.where(inf, 0.0, x)
             root = np.sqrt(q**4 + 4.0 * (1.0 - q * q) * x * x)
-            out = (16.0 * x * x - q * q * (1.0 - q * q)) / (
-                4.0 * (2.0 * root + q * (1.0 + q * q)))
+            out = np.where(inf, np.inf, (16.0 * x * x - q * q * (1.0 - q * q)) / (
+                4.0 * (2.0 * root + q * (1.0 + q * q))))
         return out if out.ndim else float(out)
 
     def G_inv(self, x):
@@ -107,19 +106,10 @@ def _ratio(q: float) -> Callable:
     return ratio
 
 
-def _transformed_exponents(J: SpectralDensity, q: float):
-    out = []
-    for (lo, _), (sl, sr) in zip(J.support, J.endpoint_exponents):
-        sl_new = sl / 2.0 if (q > 0.0 and lo == 0.0) else sl
-        out.append((sl_new, sr))
-    return tuple(out)
-
-
 def measure_from_sd(J: SpectralDensity, q: float) -> Measure:
     """The chain-mapping measure d-lambda^q = M^q(x) dx of a spectral density.
 
-    Gap structure maps through G_q; endpoint exponents at a massless band
-    edge are halved for q > 0 (G_inv behaves like sqrt there).
+    Gap structure maps through G_q.
     """
     kernel = mapping_kernel(q)
     if q == 0.0:
@@ -127,10 +117,9 @@ def measure_from_sd(J: SpectralDensity, q: float) -> Measure:
             return Measure.from_family(J.m0_family)
         ev = J.evaluator
         return Measure(lambda x: np.asarray(ev(x), float) / math.pi,
-                       J.support, J.endpoint_exponents, tail=J.tail)
+                       J.support, tail=J.tail)
 
     support = tuple((kernel.G(lo), kernel.G(hi)) for lo, hi in J.support)
-    exponents = _transformed_exponents(J, q)
 
     if q == 1.0:
         if J.m1_family is not None:
@@ -140,7 +129,7 @@ def measure_from_sd(J: SpectralDensity, q: float) -> Measure:
         if J.tail is not None:
             tail = TailBound(J.tail.rate, J.tail.power / 2.0, J.tail.stretch / 2.0)
         return Measure(lambda x: np.asarray(ev(np.sqrt(np.maximum(x, 0.0))), float) / math.pi,
-                       support, exponents, tail=tail)
+                       support, tail=tail)
 
     ev = J.evaluator
     ratio = _ratio(q)
@@ -155,7 +144,7 @@ def measure_from_sd(J: SpectralDensity, q: float) -> Measure:
         t = J.tail
         shrink = (1.0 - q * q) ** (t.stretch / 2.0)
         tail = TailBound(t.rate * shrink, t.power, t.stretch)
-    return Measure(weight, support, exponents, tail=tail)
+    return Measure(weight, support, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -215,27 +204,18 @@ def bassano_coefficients(J: SpectralDensity, n: int) -> tuple[np.ndarray, np.nda
     """Iterated-propagator chain data (D_n^2, Omega_{n+1}^2), n = 0..N-1.
 
     Computed as beta_n and alpha_n of the phonon measure d-lambda^1; D_0^2
-    is cross-validated against the direct integral (2/pi) int J(w) w dw.
+    is cross-validated against the direct integral (2/pi) int J(w) w dw,
+    which raises DivergentMoment when it does not converge.
     """
     if not J.gapless:
         raise GappedMeasure(
             "the iterated-propagator construction requires gapless J "
             "(its Stieltjes relation breaks inside a gap)")
-    m = measure_from_sd(J, 1.0)
-    rc = recurrence_coefficients(m, max(n, 1))
+    rc = recurrence_coefficients(measure_from_sd(J, 1.0), max(n, 1))
     d_sq = rc.beta[:n].copy()
     omega_sq = rc.alpha[:n].copy()
 
-    lo, hi = J.hull
-    if math.isinf(hi):
-        hi = m._effective_intervals(2)[-1][1] ** 0.5
-    rel_tol = 1e-12
-    direct, ok = quadrature.integrate(
-        lambda w: np.asarray(J(w), float) * w, lo, hi, rel_tol=rel_tol)
-    if not ok:
-        _log.warning("bassano_coefficients: quadrature not converged on "
-                     "[%r, %r] at rel_tol %g", lo, hi, rel_tol)
-    direct *= 2.0 / math.pi
+    direct = 2.0 * measure_from_sd(J, 0.0).integrate(lambda w: w, poly_degree=1)
     if abs(direct - d_sq[0]) > 1e-8 * max(abs(direct), abs(d_sq[0])):
         raise IllConditioned(
             f"D_0^2 mismatch: measure route {d_sq[0]}, direct integral {direct}")

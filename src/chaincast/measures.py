@@ -286,10 +286,6 @@ class Measure(_Supported):
         Vectorized density; evaluated only inside the support.
     support : tuple of (lo, hi)
         Disjoint, sorted closed intervals; the last may have hi = inf.
-    endpoint_exponents : tuple of (s_left, s_right)
-        Algebraic behaviour hints, weight ~ (distance to endpoint)**s.
-        Informational: records integrability (s > -1) and propagates
-        through transforms; the tanh-sinh engine needs no substitution.
     tail : TailBound, optional
         Required for quadrature on unbounded support.
     point_masses : tuple of PointMass
@@ -301,18 +297,12 @@ class Measure(_Supported):
 
     weight: Callable
     support: Intervals
-    endpoint_exponents: tuple[tuple[float, float], ...] = ()
     tail: TailBound | None = None
     point_masses: tuple[PointMass, ...] = ()
     family: WeightFamily | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "support", _check_intervals(self.support))
-        if not self.endpoint_exponents:
-            object.__setattr__(self, "endpoint_exponents",
-                               tuple((0.0, 0.0) for _ in self.support))
-        if len(self.endpoint_exponents) != len(self.support):
-            raise DomainError("one exponent pair per support interval required")
 
     # -- structure ---------------------------------------------------------
 
@@ -324,17 +314,13 @@ class Measure(_Supported):
         return b - a
 
     @classmethod
-    def from_family(cls, fam: WeightFamily, point_masses=()) -> "Measure":
+    def from_family(cls, fam: WeightFamily) -> "Measure":
         if isinstance(fam, PowerLawWeight):
-            return cls(fam.weight, ((0.0, fam.cut),), ((fam.s, 0.0),),
-                       family=fam, point_masses=tuple(point_masses))
+            return cls(fam.weight, ((0.0, fam.cut),), family=fam)
         if isinstance(fam, PowerLawExpWeight):
-            return cls(fam.weight, ((0.0, math.inf),), ((fam.s, 0.0),),
-                       tail=fam.tail(), family=fam,
-                       point_masses=tuple(point_masses))
+            return cls(fam.weight, ((0.0, math.inf),), tail=fam.tail(), family=fam)
         if isinstance(fam, SemicircleWeight):
-            return cls(fam.weight, ((fam.a, fam.b),), ((0.5, 0.5),),
-                       family=fam, point_masses=tuple(point_masses))
+            return cls(fam.weight, ((fam.a, fam.b),), family=fam)
         raise DomainError(f"unknown family {fam!r}")
 
     # -- integration -------------------------------------------------------
@@ -450,7 +436,6 @@ def rescale(m: Measure, lam: float) -> Measure:
     return Measure(
         weight=lambda x: old_w(np.asarray(x, float) / lam) / lam,
         support=support,
-        endpoint_exponents=m.endpoint_exponents,
         tail=tail,
         point_masses=tuple(PointMass(p.location * lam, p.mass)
                            for p in m.point_masses),
@@ -466,7 +451,6 @@ def scale_mass(m: Measure, factor: float) -> Measure:
     return Measure(
         weight=lambda x: factor * old_w(x),
         support=m.support,
-        endpoint_exponents=m.endpoint_exponents,
         tail=m.tail,
         point_masses=tuple(PointMass(p.location, p.mass * factor)
                            for p in m.point_masses),

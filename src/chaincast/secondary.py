@@ -127,11 +127,9 @@ class SecondarySequence:
             raise UnsupportedMeasure(
                 "member measures need bounded support (off the Szego class "
                 "the sequence has no integrable limit anyway)")
-        (s_left, _), = self.base.endpoint_exponents
         return Measure(
             weight=lambda x: self.density(n, x),
             support=(evaluation_band(self.base),),
-            endpoint_exponents=((s_left, 0.0),),
         )
 
 

@@ -9,9 +9,11 @@ weight families.  The Lipschitz form replaces its difference quotient by
 mu' at the midpoint in a narrow band around t = x whose width is scaled to
 x's distance from the nearer endpoint.
 
-Every real-axis integral of a kernel of x - t (the Perron inversion, the
-integrated-by-parts reducer, S and S' in a gap) forms x - t from tanh-sinh
-node distances, so it stays accurate however close x is to the support.
+Every real-axis integral of a kernel of z - t (the Cauchy transform S(z)
+at real or complex z, the Perron inversion, the integrated-by-parts
+reducer, S and S' in a gap) splits the support at Re z and forms z - t
+from tanh-sinh node distances, so it stays accurate however close z is to
+the support.
 """
 
 from __future__ import annotations
@@ -84,12 +86,13 @@ def evaluation_band(m: Measure) -> tuple[float, float]:
 
 
 def stieltjes_transform(m: Measure, z: complex) -> complex:
-    """S(z) = integral of d-mu(x) / (z - x).
+    """S(z) = integral of d-mu(x) / (z - x), by ``_real_axis_integral``.
 
     z must either have a nonzero imaginary part or keep a relative distance
     of 1e-8 from every support interval (PoleTooClose otherwise).  For a
     gapped measure the integral runs interval by interval, so real z inside
-    a gap is fine.
+    a gap is fine.  Complex z may come arbitrarily close to the support:
+    the interval is split at Re z and z - t formed from node distances.
     """
     z = complex(z)
     guard = POLE_GUARD_FRACTION * _span(m)
@@ -98,18 +101,8 @@ def stieltjes_transform(m: Measure, z: complex) -> complex:
         for lo, hi in m.support:
             if lo - guard <= x <= hi + guard:
                 raise PoleTooClose(f"z={x} within guard distance of [{lo}, {hi}]")
-    total = 0.0 + 0.0j
-    rel_tol = 1e-13
-    for lo, hi in m._effective_intervals(0):
-        val, ok = quadrature.integrate(lambda t: m.weight(t) / (z - t), lo, hi,
-                                       rel_tol=rel_tol)
-        if not ok:
-            _log.warning("stieltjes_transform: quadrature not converged on "
-                         "[%r, %r] at rel_tol %g", lo, hi, rel_tol)
-        total += val
-    for pm in m.point_masses:
-        total += pm.mass / (z - pm.location)
-    return total
+    return _real_axis_integral(m, z, lambda d, mu: mu / d,
+                               "stieltjes_transform", 1e-13)
 
 
 def _check_interior(m: Measure, x: np.ndarray) -> None:
@@ -271,26 +264,27 @@ def reducer(m: Measure, x, method: str = "auto"):
     return vals if np.ndim(x) else float(vals[0])
 
 
-def _real_axis_integral(m: Measure, x: float, kernel, stage: str,
+def _real_axis_integral(m: Measure, z, kernel, stage: str,
                        rel_tol: float, density=None):
-    """int kernel(x - t, mu(t)) dt over the support plus kernel(x - t_k, m_k)
+    """int kernel(z - t, mu(t)) dt over the support plus kernel(z - t_k, m_k)
     over the point masses; ``density`` replaces the weight mu when given.
 
-    An interval containing x is split there, and x - t is formed from the
-    node's distance to the end of its piece nearest x, so it keeps full
-    relative accuracy however close t comes to x.  Each unconverged piece
-    logs one warning under ``stage``.
+    z is real or complex.  An interval containing Re z is split there, and
+    z - t is formed from the node's distance to the end of its piece
+    nearest Re z, so it keeps full relative accuracy however close t comes
+    to z.  Each unconverged piece logs one warning under ``stage``.
     """
     density = m.weight if density is None else density
+    x = z.real
     total = 0.0
     for lo, hi in m._effective_intervals(0):
         for a, b in ((lo, x), (x, hi)) if lo < x < hi else ((lo, hi),):
             if b <= x:
                 def f(t, da, db, b=b):
-                    return kernel(db + (x - b), density(t))
+                    return kernel(db + (z - b), density(t))
             else:
                 def f(t, da, db, a=a):
-                    return kernel(-(da + (a - x)), density(t))
+                    return kernel(-(da + (a - z)), density(t))
             val, ok = quadrature.integrate(f, a, b, rel_tol=rel_tol,
                                            with_distances=True)
             if not ok:
@@ -298,21 +292,22 @@ def _real_axis_integral(m: Measure, x: float, kernel, stage: str,
                              "rel_tol %g", stage, a, b, rel_tol)
             total += val
     for pm in m.point_masses:
-        total += kernel(x - pm.location, pm.mass)
+        total += kernel(z - pm.location, pm.mass)
     return total
 
 
 def perron_invert(m: Measure, x: float, eps: float):
-    """(1/2 pi i) [S(x - ie) - S(x + ie)] = (1/pi) Im S(x - ie).
+    """(1/2 pi i) [S(x - ie) - S(x + ie)] = (1/pi) Im S(x - ie), with S
+    from the Cauchy kernel of ``_real_axis_integral`` at z = x - ie.
 
     Approaches the weight at interior Lipschitz points as eps -> 0; used as
     a self-test of the transform, not as a computation path.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    total = _real_axis_integral(
-        m, x, lambda d, mu: mu * eps / (d * d + eps * eps), "perron_invert", 1e-12)
-    return total / math.pi
+    total = _real_axis_integral(m, complex(x, -eps), lambda d, mu: mu / d,
+                                "perron_invert", 1e-12)
+    return total.imag / math.pi
 
 
 def find_gap_zero(m: Measure, gap_index: int = 0):

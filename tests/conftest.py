@@ -13,8 +13,7 @@ def semicircle():
 @pytest.fixture(scope="session")
 def semicircle_plain(semicircle):
     """Same density with the analytic family stripped: forces generic paths."""
-    return cc.Measure(semicircle.weight, semicircle.support,
-                      semicircle.endpoint_exponents)
+    return cc.Measure(semicircle.weight, semicircle.support)
 
 
 @pytest.fixture(scope="session")

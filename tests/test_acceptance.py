@@ -119,7 +119,7 @@ def test_criterion_05_jacobi_shift_oracle():
 def test_criterion_06_semicircle_fixed_point_and_reducer():
     """One secondary+normalize step fixes the semicircle; reducer is 4x."""
     sc = cc.semicircle_measure()
-    plain = cc.Measure(sc.weight, sc.support, sc.endpoint_exponents)
+    plain = cc.Measure(sc.weight, sc.support)
     # no family attached: "auto" below is the Lipschitz route
     assert plain.family is None
     xs = np.linspace(-0.95, 0.95, 77)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaincast as cc
-from chaincast.errors import DomainError, GappedMeasure
+from chaincast import quadrature
+from chaincast.errors import DivergentMoment, DomainError, GappedMeasure
 from chaincast.measures import PowerLawWeight
 
 
@@ -52,6 +53,15 @@ class TestMappingKernel:
         k = cc.mapping_kernel(0.7)
         xs = np.linspace(0.1, 3.0, 11)
         np.testing.assert_allclose(k.r(xs), np.log(k.xi(xs)), rtol=1e-14)
+
+    @pytest.mark.parametrize("q", [0.25, 0.5, 1.0])
+    def test_infinity_maps_to_infinity(self, q):
+        # G_q(x) ~ x / sqrt(1 - q^2) for q < 1 and G_1(x) = x^2
+        k = cc.mapping_kernel(q)
+        with np.errstate(all="raise"):
+            assert k.G(math.inf) == math.inf
+            np.testing.assert_array_equal(
+                k.G(np.array([2.0, math.inf])), [k.G(2.0), math.inf])
 
     def test_q_domain(self):
         with pytest.raises(DomainError):
@@ -123,6 +133,46 @@ class TestChainCoefficients:
         assert c.E4[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert c.E2[0] == pytest.approx(2.0, rel=1e-12)
 
+    @staticmethod
+    def _phonon_exp_cutoff_oracle(s, alpha, omega_c, n):
+        """alpha_k, beta_k (k < n) of d-lambda^1 for the exponential cutoff,
+        by the Chebyshev algorithm at 400 digits on its exact moments
+        int x^k d-lambda^1 = 2 c Gamma(2k+s+2) omega_c^(2k+s+2), with
+        c = 2 alpha omega_c^(1-s)."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(400):
+            s, omega_c = mpmath.mpf(s), mpmath.mpf(omega_c)
+            c = 2 * mpmath.mpf(alpha) * omega_c ** (1 - s)
+            sig = [2 * c * mpmath.gamma(2 * k + s + 2) * omega_c ** (2 * k + s + 2)
+                   for k in range(2 * n)]
+            prev = [mpmath.mpf(0)] * (2 * n)
+            a, b = [sig[1] / sig[0]], [sig[0]]
+            for k in range(1, n):
+                nxt = [mpmath.mpf(0)] * (2 * n)
+                for j in range(k, 2 * n - k):
+                    nxt[j] = sig[j + 1] - a[k - 1] * sig[j] - b[k - 1] * prev[j]
+                a.append(nxt[k + 1] / nxt[k] - sig[k] / sig[k - 1])
+                b.append(nxt[k] / sig[k - 1])
+                prev, sig = sig, nxt
+            return (np.array([float(v) for v in a]),
+                    np.array([float(v) for v in b]))
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_phonon_exp_cutoff_matches_mpmath(self, s):
+        # Unbounded support at q = 1: G_1 maps the end inf to inf.
+        want_a, want_b = self._phonon_exp_cutoff_oracle(s, 0.1, 1.3, 21)
+        sd = cc.power_law_exp_sd(s, 0.1, 1.3)
+        for n in (1, 2, 5, 10, 15, 20):
+            rc = cc.chain_coefficients(sd, 1.0, n).rc
+            np.testing.assert_allclose(rc.alpha, want_a[:n + 1], rtol=1e-11)
+            np.testing.assert_allclose(rc.beta, want_b[:n + 1], rtol=1e-11)
+
+    def test_mid_q_exp_cutoff_is_valid(self, ohmic_exp_sd):
+        c = cc.chain_coefficients(ohmic_exp_sd, 0.5, 10)
+        assert np.all(np.isfinite(c.alpha))
+        assert np.all(c.rc.beta > 0)
+        np.testing.assert_array_equal(c.E4, np.sqrt(c.rc.beta[1:]))
+
     def test_phonon_particle_bridge(self, ohmic_sd):
         # alpha_n(1)(s) = alpha_n(0)(s/2), beta_{n+1}(1)(s) = beta_{n+1}(0)(s/2)
         # in omega_c = 1 units; phonon side forced through the generic route.
@@ -189,6 +239,19 @@ class TestBassano:
     def test_gapped_rejected(self, gapped_sd):
         with pytest.raises(GappedMeasure):
             cc.bassano_coefficients(gapped_sd, 3)
+
+    def test_exp_cutoff(self, ohmic_exp_sd):
+        # D_0^2 = 2 c Gamma(3) and Omega_1^2 = Gamma(5) / Gamma(3), c = 0.2
+        d_sq, omega_sq = cc.bassano_coefficients(ohmic_exp_sd, 10)
+        assert d_sq[0] == pytest.approx(0.8, rel=1e-12)
+        assert omega_sq[0] == pytest.approx(12.0, rel=1e-12)
+
+    def test_unconverged_d0_integral_raises(self, ohmic_sd, monkeypatch):
+        real = quadrature.integrate
+        monkeypatch.setattr(quadrature, "integrate",
+                            lambda *a, **k: (real(*a, **k)[0], False))
+        with pytest.raises(DivergentMoment):
+            cc.bassano_coefficients(ohmic_sd, 5)
 
     def test_equivalence_with_iterated_integrals(self, ohmic_sd):
         # D_n^2 from direct integrals of the residual densities equals

@@ -209,6 +209,17 @@ class TestRun:
         assert report["szego"] == "out_of_class(unbounded)"
         assert report["alpha_limit"] is None
 
+    @pytest.mark.parametrize("q", [0.5, 1])
+    def test_exp_cutoff_mapped_run(self, tmp_path, q):
+        # G_q maps the unbounded end of the support to infinity for q > 0
+        path = write_config(tmp_path / "job.json", {
+            "spectral_density": {"family": "power_law_exp_cutoff", "s": 1,
+                                 "alpha": 0.1, "omega_c": 1.0},
+            "mapping_q": q, "sites": 8})
+        assert cli.main(["run", "--config", path]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["szego"] == "out_of_class(unbounded)"
+
     def test_byte_identical_reruns(self, tmp_path):
         path = ohmic_config(tmp_path)
         assert cli.main(["run", "--config", path]) == cli.EXIT_OK

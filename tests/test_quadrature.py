@@ -134,15 +134,19 @@ class TestVectorIntegrand:
             lambda t: m.weight(t) / (zs[:, None] - t), -1.0, 1.0)
         assert ok
         for z, g in zip(zs, got):
-            assert g == cc.stieltjes_transform(m, z)
+            # S(z) of the normalized semicircle
+            want = 2.0 * (z - np.sqrt(z - 1.0) * np.sqrt(z + 1.0))
+            assert abs(g - want) <= 1e-14 * abs(want)
+            assert abs(cc.stieltjes_transform(m, z) - want) <= 1e-14 * abs(want)
 
 
 # Callers of `integrate` that report its converged flag: each logs one
 # warning per unconverged integral on its module's logger, and returns the
-# same numbers either way.
+# same numbers either way.  S(0.3 + 0.5j) is split at Re z = 0.3 into two
+# integrals.
 _FLAG_CALLERS = {
     "stieltjes_transform": (
-        "chaincast.stieltjes", 1,
+        "chaincast.stieltjes", 2,
         lambda: cc.stieltjes_transform(cc.semicircle_measure(), 0.3 + 0.5j)),
     "szego_check": (
         "chaincast.convergence", 5,
@@ -152,9 +156,6 @@ _FLAG_CALLERS = {
         lambda: cc.convergence_report(cc.power_law_sd(1.0, 0.1, 1.0), 0.0, 6,
                                       residual_orders=2, moment_order=2,
                                       ).terminal_moment_gap),
-    "bassano_coefficients": (
-        "chaincast.chainmap", 1,
-        lambda: cc.bassano_coefficients(cc.power_law_sd(1.0, 0.1, 1.0), 5)),
     "perron_invert": (
         "chaincast.stieltjes", 2,
         lambda: cc.perron_invert(cc.semicircle_measure(), 0.3, 1e-3)),

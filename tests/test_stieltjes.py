@@ -17,6 +17,16 @@ from chaincast.errors import (
 )
 
 
+def _semicircle_s(z) -> complex:
+    """S(z) = 2 (z - sqrt(z - 1) sqrt(z + 1)) of the normalized semicircle,
+    at 40 digits; the product of principal roots is the branch that decays
+    off [-1, 1] in both half-planes."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        return complex(2 * (z - mpmath.sqrt(z - 1) * mpmath.sqrt(z + 1)))
+
+
 class TestTransform:
     def test_semicircle_closed_form(self, semicircle):
         # S(z) = 2 (z - sqrt(z^2 - 1)) off the support
@@ -53,6 +63,22 @@ class TestTransform:
         for x in (0.2, 0.5, 0.8):
             val = cc.stieltjes_transform(weight_2x, complex(x, -1e-6))
             assert val.imag > 0
+
+    def test_complex_scan_near_the_support(self, semicircle_plain, caplog):
+        # Re z ~ U(-1.2, 1.2) and |Im z| = 10^U(-14, 0) in both half-planes:
+        # z comes within 1e-14 of the support, inside and past its ends.
+        # Forming z - t from node positions gave S(0.3 + 1e-6j) 19x too large.
+        rng = np.random.default_rng(10)
+        zs = (rng.uniform(-1.2, 1.2, 300)
+              + 1j * rng.choice([-1.0, 1.0], 300) * 10 ** rng.uniform(-14, 0, 300))
+        errs = []
+        with caplog.at_level(logging.WARNING, logger="chaincast"):
+            for z in [*zs, 0.3 + 1e-6j]:
+                want = _semicircle_s(z)
+                errs.append(abs(cc.stieltjes_transform(semicircle_plain, z) - want)
+                            / abs(want))
+        assert max(errs) <= 1e-13
+        assert caplog.records == []
 
 
 class TestReducer:
@@ -406,6 +432,18 @@ class TestPerronInversion:
                 for eps in (1e-2, 1e-3, 1e-4)]
         assert errs[2] < errs[0]
         assert errs[2] < 1e-3
+
+    def test_small_eps_scan_matches_closed_form(self, semicircle_plain):
+        # (1/pi) Im S(x - i eps) of the normalized semicircle, exactly
+        rng = np.random.default_rng(11)
+        xs = rng.uniform(-1.1, 1.1, 200)
+        epss = 10 ** rng.uniform(-12, 0, 200)
+        errs = []
+        for x, eps in zip(xs, epss):
+            want = _semicircle_s(complex(x, -eps)).imag / math.pi
+            got = cc.perron_invert(semicircle_plain, x, eps)
+            errs.append(abs(got - want) / abs(want))
+        assert max(errs) <= 1e-14
 
     def test_error_scaling_eps_log_eps(self, semicircle):
         # error < K eps |ln eps| empirically on interior Lipschitz points
