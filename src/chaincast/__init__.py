@@ -9,13 +9,14 @@ densities.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BracketFailure,
     ChaincastError,
     ConfigError,
     DivergentMoment,
     DomainError,
-    EigenFailure,
     EndpointEvaluation,
     GappedMeasure,
     IllConditioned,
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .measures import (
     Measure,
-    MomentSequence,
     PointMass,
     PowerLawExpWeight,
     PowerLawWeight,
@@ -46,18 +46,12 @@ from .measures import (
     power_law_exp_sd,
     power_law_measure,
     power_law_sd,
-    rescale,
     sd_from_dispersion,
     semicircle_measure,
     tabulated_sd,
 )
 from .orthopoly import (
-    GaussRule,
     RecurrenceCoefficients,
-    eval_monic,
-    eval_orthonormal,
-    eval_secondary_polynomial,
-    gauss_rule,
     recurrence_coefficients,
 )
 from .stieltjes import (
@@ -95,4 +89,6 @@ from .convergence import (
     terminal_sd,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The layer submodules are attributes of the package too; they are not API.
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

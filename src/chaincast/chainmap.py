@@ -46,7 +46,8 @@ class MappingKernel:
     which is cancellation-free for every q in [0, 1] and takes the q -> 1
     limit G_1(x) = x^2 without a branch.  G_q(inf) = inf for every q (the
     end of unbounded support), where the quotient would read inf/inf and,
-    at q = 1, the root 0 * inf.
+    at q = 1, the root 0 * inf.  Likewise xi_q(inf) is the limit
+    ((1+q)/(1-q))^(1/4) for q < 1 and inf at q = 1.
     """
 
     q: float
@@ -82,9 +83,12 @@ class MappingKernel:
             out = np.ones_like(x)
         else:
             g = np.asarray(self.G(x), float)
+            inf = np.isinf(g)
+            g = np.where(inf, 0.0, g)
             num = q * (1.0 - q) + 4.0 * (1.0 + q) * g
             den = q * (1.0 + q) + 4.0 * (1.0 - q) * g
-            out = (num / den) ** 0.25
+            lim = (1.0 + q) / (1.0 - q) if q < 1.0 else np.inf
+            out = np.where(inf, lim, num / den) ** 0.25
         return out if out.ndim else float(out)
 
     def r(self, x):

@@ -91,6 +91,20 @@ def _require(cond: bool, fld: str, reason: str) -> None:
         raise ConfigError(fld, reason)
 
 
+def _number(val, fld: str, integer: bool = False):
+    """val as a float, or as an int for an integer field.  Strings that
+    parse as numbers pass (CSV cells are strings); bools, null and other
+    strings raise ConfigError naming fld, and so does a non-integral value
+    of an integer field."""
+    try:
+        num = None if isinstance(val, bool) else float(val)
+    except (TypeError, ValueError):
+        num = None
+    _require(num is not None and (num.is_integer() or not integer), fld,
+             f"must be {'an integer' if integer else 'a number'}, got {val!r}")
+    return int(num) if integer else num
+
+
 def _build_sd(spec: dict, base_dir: Path) -> SpectralDensity:
     _require(isinstance(spec, dict), "spectral_density", "must be an object")
     unknown = set(spec) - _SD_KEYS
@@ -101,9 +115,9 @@ def _build_sd(spec: dict, base_dir: Path) -> SpectralDensity:
     if family in ("power_law", "power_law_exp_cutoff"):
         for key in ("s", "alpha"):
             _require(key in spec, f"spectral_density.{key}", "required")
-        s = float(spec["s"])
-        alpha = float(spec["alpha"])
-        omega_c = float(spec.get("omega_c", 1.0))
+        s = _number(spec["s"], "spectral_density.s")
+        alpha = _number(spec["alpha"], "spectral_density.alpha")
+        omega_c = _number(spec.get("omega_c", 1.0), "spectral_density.omega_c")
         _require(s > -1, "spectral_density.s", "must satisfy s > -1")
         _require(alpha > 0, "spectral_density.alpha", "must be positive")
         _require(omega_c > 0, "spectral_density.omega_c", "must be positive")
@@ -120,7 +134,8 @@ def _build_sd(spec: dict, base_dir: Path) -> SpectralDensity:
                     continue
                 _require(len(row) >= 2, "spectral_density.samples_path",
                          f"row {row} needs omega,J")
-                rows.append((float(row[0]), float(row[1])))
+                rows.append(tuple(_number(cell, "spectral_density.samples_path")
+                                  for cell in row[:2]))
         _require(len(rows) >= 2, "spectral_density.samples_path", "need >= 2 samples")
         omega = [r[0] for r in rows]
         vals = [r[1] for r in rows]
@@ -139,7 +154,8 @@ def _build_sd(spec: dict, base_dir: Path) -> SpectralDensity:
     for i, piece in enumerate(pieces):
         _require(isinstance(piece, list) and len(piece) == 3,
                  f"spectral_density.intervals[{i}]", "must be [lo, hi, height]")
-        lo, hi, hgt = map(float, piece)
+        lo, hi, hgt = (_number(v, f"spectral_density.intervals[{i}]")
+                       for v in piece)
         _require(hi > lo >= 0, f"spectral_density.intervals[{i}]",
                  "needs 0 <= lo < hi")
         _require(hgt >= 0, f"spectral_density.intervals[{i}]",
@@ -169,18 +185,20 @@ def validate(path: str | Path, q_override: float | None = None,
 
     sd = _build_sd(raw["spectral_density"], path.parent)
 
-    q = float(raw.get("mapping_q", 0.0)) if q_override is None else float(q_override)
+    q = _number(raw.get("mapping_q", 0.0) if q_override is None else q_override,
+                "mapping_q")
     _require(0.0 <= q <= 1.0, "mapping_q", "must lie in [0, 1]")
 
-    sites = int(raw.get("sites", 50)) if sites_override is None else int(sites_override)
+    sites = _number(raw.get("sites", 50) if sites_override is None else sites_override,
+                    "sites", integer=True)
     _require(sites >= 1, "sites", "must be a positive integer")
 
     orders_raw = raw.get("residual_orders", [])
     _require(isinstance(orders_raw, list), "residual_orders", "must be a list")
     orders = []
     for i, val in enumerate(orders_raw):
-        _require(isinstance(val, int) and val >= 0,
-                 f"residual_orders[{i}]", "must be a nonnegative integer")
+        val = _number(val, f"residual_orders[{i}]", integer=True)
+        _require(val >= 0, f"residual_orders[{i}]", "must be a nonnegative integer")
         orders.append(val)
     if orders:
         _require(q in (0.0, 1.0), "residual_orders",
@@ -191,13 +209,13 @@ def validate(path: str | Path, q_override: float | None = None,
     _require(isinstance(grid, dict), "grid", "must be an object")
     unknown = set(grid) - _GRID_KEYS
     _require(not unknown, "grid", f"unknown keys {sorted(unknown)}")
-    points = int(grid.get("points", 512))
+    points = _number(grid.get("points", 512), "grid.points", integer=True)
     _require(points >= 2, "grid.points", "need at least 2 grid points")
     grange = grid.get("range")
     if grange is not None:
         _require(isinstance(grange, list) and len(grange) == 2, "grid.range",
                  "must be [lo, hi]")
-        grange = (float(grange[0]), float(grange[1]))
+        grange = tuple(_number(v, "grid.range") for v in grange)
         _require(grange[1] > grange[0], "grid.range", "needs lo < hi")
 
     outputs = raw.get("outputs", {})

@@ -29,10 +29,6 @@ class IndexOutOfRange(ChaincastError, IndexError):
     """Polynomial or coefficient order beyond what was computed."""
 
 
-class EigenFailure(ChaincastError):
-    """Symmetric tridiagonal eigendecomposition did not converge."""
-
-
 class PoleTooClose(ChaincastError):
     """Stieltjes transform requested too close to the support."""
 

@@ -35,7 +35,6 @@ __all__ = [
     "PowerLawExpWeight",
     "SemicircleWeight",
     "Measure",
-    "MomentSequence",
     "SpectralDensity",
     "power_law_sd",
     "power_law_exp_sd",
@@ -44,7 +43,6 @@ __all__ = [
     "custom_sd",
     "sd_from_dispersion",
     "moments",
-    "rescale",
     "normalize",
     "semicircle_measure",
     "power_law_measure",
@@ -123,9 +121,6 @@ class PowerLawWeight:
         y = np.asarray(x, float) / self.cut
         return 2.0 * self.c * self.cut**self.s * _power_law_pv(y, self.s)
 
-    def rescaled(self, lam: float) -> "PowerLawWeight":
-        return PowerLawWeight(self.c / lam ** (self.s + 1), self.s, self.cut * lam)
-
     def scaled(self, factor: float) -> "PowerLawWeight":
         return PowerLawWeight(self.c * factor, self.s, self.cut)
 
@@ -191,9 +186,6 @@ class PowerLawExpWeight:
             acc = acc - math.factorial(s - 1 - k) * y**k
         return 2.0 * self.c * self.scale**s * acc
 
-    def rescaled(self, lam: float) -> "PowerLawExpWeight":
-        return PowerLawExpWeight(self.c / lam ** (self.s + 1), self.s, self.scale * lam)
-
     def scaled(self, factor: float) -> "PowerLawExpWeight":
         return PowerLawExpWeight(self.c * factor, self.s, self.scale)
 
@@ -229,9 +221,6 @@ class SemicircleWeight:
 
     def reducer(self, x):
         return 2.0 * math.pi * self.c * (np.asarray(x, float) - 0.5 * (self.a + self.b))
-
-    def rescaled(self, lam: float) -> "SemicircleWeight":
-        return SemicircleWeight(self.c / lam**2, self.a * lam, self.b * lam)
 
     def scaled(self, factor: float) -> "SemicircleWeight":
         return SemicircleWeight(self.c * factor, self.a, self.b)
@@ -376,34 +365,7 @@ class Measure(_Supported):
 # Moments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MomentSequence:
-    """Raw moments C_0..C_N of a measure."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, float))
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, n):
-        return self.values[n]
-
-    def hankel_positive(self, tol: float = 1e-10) -> bool:
-        """Positive-definiteness of all leading Hankel blocks [C_{i+j}]."""
-        n_max = (len(self.values) - 1) // 2
-        for m in range(n_max + 1):
-            h = np.array([[self.values[i + j] for j in range(m + 1)]
-                          for i in range(m + 1)])
-            scale = max(1.0, float(np.max(np.abs(h))))
-            if np.linalg.eigvalsh(h).min() < -tol * scale:
-                return False
-        return True
-
-
-def moments(m: Measure, n: int) -> MomentSequence:
+def moments(m: Measure, n: int) -> np.ndarray:
     """Moments C_k = int x**k d-mu(x), k = 0..n, to ~1e-12 relative.
 
     Raises DivergentMoment when the support is unbounded and no tail bound
@@ -411,36 +373,8 @@ def moments(m: Measure, n: int) -> MomentSequence:
     """
     if n < 0:
         raise DomainError("moment order must be nonnegative")
-    vals = [m.integrate(lambda x, k=k: x**k if k else np.ones_like(x),
-                        poly_degree=k) for k in range(n + 1)]
-    return MomentSequence(np.array(vals))
-
-
-def rescale(m: Measure, lam: float) -> Measure:
-    """Stretch the support by lam: new weight w(x/lam)/lam.
-
-    Moments transform as C_n -> lam**n C_n; the mass is preserved.
-    """
-    if not lam > 0:
-        raise DomainError("scale factor must be positive")
-    if lam == 1.0:
-        return m
-    old_w = m.weight
-    support = tuple((lo * lam, hi * lam) for lo, hi in m.support)
-    tail = None
-    if m.tail is not None:
-        t = m.tail
-        tail = TailBound(rate=t.rate / lam**t.stretch, power=t.power,
-                         stretch=t.stretch)
-    fam = m.family.rescaled(lam) if m.family is not None else None
-    return Measure(
-        weight=lambda x: old_w(np.asarray(x, float) / lam) / lam,
-        support=support,
-        tail=tail,
-        point_masses=tuple(PointMass(p.location * lam, p.mass)
-                           for p in m.point_masses),
-        family=fam,
-    )
+    return np.array([m.integrate(lambda x, k=k: x**k if k else np.ones_like(x),
+                                 poly_degree=k) for k in range(n + 1)])
 
 
 def scale_mass(m: Measure, factor: float) -> Measure:
@@ -582,9 +516,10 @@ def custom_sd(evaluator: Callable, support: Intervals,
                            tail=tail)
 
 
-def sd_from_dispersion(g: Callable, h: Callable, k_min: float, k_max: float,
-                       g_inverse: Callable | None = None) -> SpectralDensity:
-    """Spectral density J(w) = pi * h(g^-1(w))**2 * |d g^-1(w)/dw|.
+def sd_from_dispersion(g: Callable, h: Callable, k_min: float,
+                       k_max: float) -> SpectralDensity:
+    """Spectral density J(w) = pi * h(g^-1(w))**2 * |d g^-1(w)/dw|, with g
+    inverted by bracketed root finding per evaluation.
 
     Parameters
     ----------
@@ -593,9 +528,6 @@ def sd_from_dispersion(g: Callable, h: Callable, k_min: float, k_max: float,
         (verified on a grid of 513 samples).
     h : callable
         Real coupling amplitude, square integrable on [k_min, k_max].
-    g_inverse : callable, optional
-        Closed-form inverse; when omitted, g is inverted by bracketed
-        root finding per evaluation.
     """
     ks = np.linspace(k_min, k_max, 513)
     gs = np.array([float(g(k)) for k in ks])
@@ -609,8 +541,6 @@ def sd_from_dispersion(g: Callable, h: Callable, k_min: float, k_max: float,
     w_lo, w_hi = (gs[0], gs[-1]) if increasing else (gs[-1], gs[0])
 
     def invert_one(w: float) -> float:
-        if g_inverse is not None:
-            return float(g_inverse(w))
         f = lambda k: float(g(k)) - w
         f_lo, f_hi = f(k_min), f(k_max)
         if f_lo == 0.0:

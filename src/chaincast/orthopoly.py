@@ -1,4 +1,4 @@
-"""Recurrence coefficients, orthogonal-polynomial evaluation, Gauss rules.
+"""Recurrence coefficients and orthogonal-polynomial evaluation.
 
 The three-term recurrence data (alpha_n, beta_n) of a measure doubles as
 its Jacobi matrix.  Coefficients come either from closed forms attached to
@@ -14,19 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenFailure, IllConditioned, IndexOutOfRange
+from .errors import IllConditioned, IndexOutOfRange
 from .measures import Measure
 
 __all__ = [
     "RecurrenceCoefficients",
-    "GaussRule",
     "recurrence_coefficients",
-    "eval_monic",
-    "eval_orthonormal",
-    "eval_secondary_polynomial",
     "orthonormal_table",
     "secondary_table",
-    "gauss_rule",
 ]
 
 MAX_ORDER = 200
@@ -59,12 +54,6 @@ class RecurrenceCoefficients:
         if not 0 <= offset < self.n:
             raise IndexOutOfRange(f"offset {offset} outside 0..{self.n - 1}")
         return RecurrenceCoefficients(self.alpha[offset:], self.beta[offset:])
-
-
-@dataclass(frozen=True)
-class GaussRule:
-    nodes: np.ndarray
-    weights: np.ndarray
 
 
 def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, n: int):
@@ -158,7 +147,7 @@ def recurrence_coefficients(m: Measure, n: int,
 
 
 # ---------------------------------------------------------------------------
-# Polynomial evaluation.  All evaluators are vectorized over x and run the
+# Polynomial evaluation.  Both tables are vectorized over x and run the
 # orthonormal three-term recurrence t_n P_{n+1} = (x - s_n) P_n - t_{n-1} P_{n-1}
 # with the positive-leading-coefficient convention.
 # ---------------------------------------------------------------------------
@@ -191,45 +180,3 @@ def secondary_table(rc: RecurrenceCoefficients, n: int, x) -> np.ndarray:
     defining integral in the test suite before being trusted.
     """
     return _recurrence_table(rc, n, x, -1.0, 0.0)
-
-
-def eval_monic(rc: RecurrenceCoefficients, n: int, x):
-    """Monic pi_n(x) via pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1}."""
-    if not 0 <= n < rc.n:
-        raise IndexOutOfRange(f"order {n} outside 0..{rc.n - 1}")
-    x = np.asarray(x, float)
-    pprev = np.zeros_like(x)
-    pcur = np.ones_like(x)
-    for k in range(n):
-        pnext = (x - rc.alpha[k]) * pcur - (rc.beta[k] if k else 0.0) * pprev
-        pprev, pcur = pcur, pnext
-    return pcur if pcur.ndim else float(pcur)
-
-
-def eval_orthonormal(rc: RecurrenceCoefficients, n: int, x):
-    out = orthonormal_table(rc, n, np.asarray(x, float))[n]
-    return out if out.ndim else float(out)
-
-
-def eval_secondary_polynomial(rc: RecurrenceCoefficients, n: int, x):
-    out = secondary_table(rc, n, np.asarray(x, float))[n]
-    return out if out.ndim else float(out)
-
-
-def gauss_rule(rc: RecurrenceCoefficients, n: int) -> GaussRule:
-    """n-point Gauss rule for the measure behind rc (Golub-Welsch).
-
-    Nodes are the eigenvalues of the leading n x n Jacobi block; weights are
-    beta_0 times the squared first components of the eigenvectors.
-    """
-    if not 0 < n <= rc.n:
-        raise IndexOutOfRange(f"rule size {n} outside 1..{rc.n}")
-    # Imported on first use: a chaincast run that needs no scipy routine
-    # starts with numpy alone.
-    from scipy.linalg import eigh_tridiagonal
-
-    try:
-        vals, vecs = eigh_tridiagonal(rc.alpha[:n], np.sqrt(rc.beta[1:n]))
-    except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover
-        raise EigenFailure(str(exc)) from exc
-    return GaussRule(nodes=vals, weights=rc.beta[0] * vecs[0, :] ** 2)

@@ -26,9 +26,12 @@ same as evaluating every node afresh.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
+
+from .errors import DivergentMoment
 
 __all__ = [
     "nodes",
@@ -160,7 +163,9 @@ def tail_cutoff(rate: float, power: float, stretch: float) -> float:
     Chosen so the bound at T is below 1e-16 times the bound's peak value
     (the peak taken at x >= 1);
     with double-exponential decay of the quadrature this certifies the
-    discarded tail against the running total.
+    discarded tail against the running total.  T doubles until it gets
+    there, which it does since the bound decays; a T that overflows raises
+    DivergentMoment.
     """
     if rate <= 0 or stretch <= 0:
         raise ValueError("tail bound must decay")
@@ -173,6 +178,8 @@ def tail_cutoff(rate: float, power: float, stretch: float) -> float:
     t = peak * 2 + 1.0
     while logbound(t) > target:
         t *= 2.0
-        if t > 1e12:
-            break
+        if math.isinf(t):
+            raise DivergentMoment("tail cutoff overflows: the bound "
+                                  f"x**{power} * exp(-{rate} * x**{stretch}) "
+                                  "decays too slowly")
     return t

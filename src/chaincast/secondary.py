@@ -28,7 +28,7 @@ from .errors import (
     InsufficientMoments,
     UnsupportedMeasure,
 )
-from .measures import Measure, MomentSequence, normalize
+from .measures import Measure, normalize
 from .orthopoly import (
     RecurrenceCoefficients,
     orthonormal_table,
@@ -145,7 +145,7 @@ def secondary_density(m: Measure, x):
     return vals if np.ndim(x) else float(vals[0])
 
 
-def secondary_moments(c: MomentSequence | np.ndarray, n: int) -> MomentSequence:
+def secondary_moments(c: np.ndarray, n: int) -> np.ndarray:
     """Moments of the (unnormalized) secondary measure from moments of a
     normalized measure:
 
@@ -154,7 +154,7 @@ def secondary_moments(c: MomentSequence | np.ndarray, n: int) -> MomentSequence:
     Requires C_0 = 1 and entries up to order n + 2.  Serves as the oracle
     against direct quadrature of the secondary density.
     """
-    vals = np.asarray(c.values if isinstance(c, MomentSequence) else c, float)
+    vals = np.asarray(c, float)
     if len(vals) < n + 3:
         raise InsufficientMoments(f"need moments to order {n + 2}, have {len(vals) - 1}")
     if abs(vals[0] - 1.0) > 1e-8:
@@ -165,4 +165,4 @@ def secondary_moments(c: MomentSequence | np.ndarray, n: int) -> MomentSequence:
         for s in range(k):
             acc -= rho[s] * vals[k - s]
         rho[k] = acc
-    return MomentSequence(rho)
+    return rho

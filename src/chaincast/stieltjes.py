@@ -2,12 +2,12 @@
 
 The reducer phi(d-mu; x) is the boundary sum lim S(x - ie) + S(x + ie),
 equivalently twice the principal-value transform; it is the real companion
-of the density in every secondary-measure formula.  Two generic evaluation
-routes are provided (the Lipschitz-regularized form and the
-integrated-by-parts C^1 form) plus closed forms attached to the analytic
-weight families.  The Lipschitz form replaces its difference quotient by
-mu' at the midpoint in a narrow band around t = x whose width is scaled to
-x's distance from the nearer endpoint.
+of the density in every secondary-measure formula.  ``reducer`` takes the
+closed form attached to an analytic weight family, else the
+Lipschitz-regularized form, which replaces its difference quotient by mu'
+at the midpoint in a narrow band around t = x whose width is scaled to x's
+distance from the nearer endpoint.  The integrated-by-parts C^1 form
+(``_reducer_derivative_form``) is kept as a cross-check of that route.
 
 Every real-axis integral of a kernel of z - t (the Cauchy transform S(z)
 at real or complex z, the Perron inversion, the integrated-by-parts
@@ -235,31 +235,22 @@ def _reducer_derivative_form(m: Measure, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def reducer(m: Measure, x, method: str = "auto"):
-    """phi(d-mu; x) at interior points of a gapless measure's support.
-
-    method "auto" takes the family closed form when the measure has one,
-    otherwise the Lipschitz route; "lipschitz" and "derivative" force a
-    generic route.
-    """
+def reducer(m: Measure, x):
+    """phi(d-mu; x) at interior points of a gapless measure's support: the
+    family closed form when the measure has one, otherwise the Lipschitz
+    route."""
     if not m.gapless:
         raise GappedMeasure("reducer requires a gapless measure")
     if m.point_masses:
         raise UnsupportedMeasure("reducer assumes a pure density")
     xs = np.atleast_1d(np.asarray(x, float))
     _check_interior(m, xs)
-    if method == "auto":
-        vals = m.family.reducer(xs) if m.family is not None else None
-        if vals is None:
-            method = "lipschitz"
-    if method in ("lipschitz", "derivative"):
+    vals = m.family.reducer(xs) if m.family is not None else None
+    if vals is None:
         if not m.bounded:
             raise UnsupportedMeasure(
                 "numeric reducer needs bounded support; use an analytic family")
-        route = _reducer_lipschitz if method == "lipschitz" else _reducer_derivative_form
-        vals = route(m, xs)
-    elif method != "auto":
-        raise ValueError(f"unknown reducer method {method!r}")
+        vals = _reducer_lipschitz(m, xs)
     vals = np.asarray(vals, float)
     return vals if np.ndim(x) else float(vals[0])
 

@@ -120,11 +120,11 @@ def test_criterion_06_semicircle_fixed_point_and_reducer():
     """One secondary+normalize step fixes the semicircle; reducer is 4x."""
     sc = cc.semicircle_measure()
     plain = cc.Measure(sc.weight, sc.support)
-    # no family attached: "auto" below is the Lipschitz route
+    # no family attached: the reducer takes the Lipschitz route
     assert plain.family is None
     xs = np.linspace(-0.95, 0.95, 77)
 
-    phi = cc.reducer(plain, xs, method="lipschitz")
+    phi = cc.reducer(plain, xs)
     assert float(np.max(np.abs(phi - 4 * xs))) < 1e-9
 
     rho = cc.secondary_density(plain, xs)

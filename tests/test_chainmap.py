@@ -63,6 +63,18 @@ class TestMappingKernel:
             np.testing.assert_array_equal(
                 k.G(np.array([2.0, math.inf])), [k.G(2.0), math.inf])
 
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_xi_and_r_at_infinity(self, q):
+        # xi_q -> ((1+q)/(1-q))^(1/4) as x -> inf for q < 1; xi_1 ~ sqrt(2) x.
+        k = cc.mapping_kernel(q)
+        want = ((1 + q) / (1 - q)) ** 0.25 if q < 1 else math.inf
+        assert k.xi(math.inf) == want
+        assert k.r(math.inf) == math.log(want)
+        np.testing.assert_array_equal(k.xi(np.array([2.0, math.inf])),
+                                      [k.xi(2.0), want])
+        if q < 1:
+            assert k.xi(1e150) == pytest.approx(want, rel=1e-15)
+
     def test_q_domain(self):
         with pytest.raises(DomainError):
             cc.mapping_kernel(-0.1)

@@ -68,6 +68,26 @@ class TestValidate:
             "frobnicate": True})
         assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("sites", {"sites": "abc"}),
+        ("sites", {"sites": 2.7}),
+        ("spectral_density.s", {"spectral_density": {
+            "family": "power_law", "s": "one", "alpha": 0.1}}),
+        ("mapping_q", {"mapping_q": None}),
+        ("spectral_density.intervals[0]", {"spectral_density": {
+            "family": "piecewise", "intervals": [[0, "x", 1]]}}),
+        ("spectral_density.samples_path", {"spectral_density": {
+            "family": "tabulated", "samples_path": "samples.csv"}}),
+        ("grid.points", {"grid": {"points": 3.9}}),
+        ("residual_orders[0]", {"residual_orders": [True]}),
+    ], ids=["sites-str", "sites-float", "s-str", "mapping_q-null",
+            "intervals-str", "samples-str", "points-float", "orders-bool"])
+    def test_non_numbers_exit_2(self, tmp_path, capsys, field, overrides):
+        (tmp_path / "samples.csv").write_text("0.0,0.0\n0.5,abc\n1.0,1.0\n")
+        path = ohmic_config(tmp_path, **overrides)
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
+        assert f"config error: {field}: " in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) \
             == cli.EXIT_CONFIG

@@ -3,8 +3,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import chaincast as cc
 from chaincast.errors import (
@@ -54,16 +52,16 @@ class TestSpectralDensityFromDispersion:
 
 class TestMoments:
     def test_semicircle(self, semicircle):
-        vals = cc.moments(semicircle, 2).values
+        vals = cc.moments(semicircle, 2)
         assert vals == pytest.approx([1.0, 0.0, 0.25], abs=1e-13)
 
     def test_weight_x(self, weight_x):
-        vals = cc.moments(weight_x, 2).values
+        vals = cc.moments(weight_x, 2)
         assert vals == pytest.approx([0.5, 1 / 3, 0.25], rel=1e-13)
 
     def test_laguerre_gamma_values(self):
         m = cc.power_law_exp_measure(1.0, 1.0)
-        vals = cc.moments(m, 2).values
+        vals = cc.moments(m, 2)
         assert vals == pytest.approx([1.0, 2.0, 6.0], rel=1e-12)
 
     # c = scale = 1 leaves only the error of Gamma(s + 1); a general
@@ -86,40 +84,21 @@ class TestMoments:
     def test_point_masses_add(self, weight_x):
         m = cc.Measure(weight_x.weight, weight_x.support,
                        point_masses=(cc.PointMass(0.5, 2.0),))
-        vals = cc.moments(m, 2).values
+        vals = cc.moments(m, 2)
         assert vals[0] == pytest.approx(0.5 + 2.0, rel=1e-12)
         assert vals[2] == pytest.approx(0.25 + 2.0 * 0.25, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["semicircle", "weight_x", "weight_2x",
                                       "uniform_sym", "sqrt", "laguerre_s1"])
     def test_hankel_positivity(self, measure_suite, name):
-        seq = cc.moments(measure_suite[name], 16)
-        assert seq.hankel_positive(tol=1e-10)
+        # Every leading Hankel block [C_{i+j}] is positive definite.
+        c = cc.moments(measure_suite[name], 16)
+        for n in range(1, 10):
+            h = c[np.add.outer(np.arange(n), np.arange(n))]
+            assert np.linalg.eigvalsh(h).min() >= -1e-10 * max(1.0, np.abs(h).max()), n
 
 
 class TestRescaleNormalize:
-    def test_rescale_weight_values(self, weight_x):
-        r = cc.rescale(weight_x, 2.0)
-        assert r.hull == (0.0, 2.0)
-        assert float(r.weight(np.asarray(1.0))) == pytest.approx(0.25)
-
-    def test_rescale_identity(self, weight_x):
-        assert cc.rescale(weight_x, 1.0) is weight_x
-
-    def test_rescale_moment_law(self, weight_x):
-        r = cc.rescale(weight_x, 2.0)
-        assert cc.moments(r, 1).values[1] == pytest.approx(2 * (1 / 3), rel=1e-12)
-
-    @settings(deadline=None, max_examples=20)
-    @given(lam1=st.floats(0.5, 2.0), lam2=st.floats(0.5, 2.0))
-    def test_rescale_composes(self, lam1, lam2):
-        m = cc.power_law_measure(1.0, 1.0)
-        once = cc.rescale(m, lam1 * lam2)
-        twice = cc.rescale(cc.rescale(m, lam1), lam2)
-        xs = np.linspace(1e-3, 0.999 * lam1 * lam2, 57)
-        np.testing.assert_allclose(once.weight(xs), twice.weight(xs),
-                                   rtol=1e-12, atol=1e-15)
-
     def test_normalize_weight_x(self, weight_x):
         n = cc.normalize(weight_x)
         assert float(n.weight(np.asarray(0.5))) == pytest.approx(1.0, rel=1e-12)

@@ -9,7 +9,24 @@ from hypothesis import strategies as st
 import chaincast as cc
 from chaincast.errors import IndexOutOfRange
 from chaincast.measures import scale_mass
-from chaincast.orthopoly import orthonormal_table
+from chaincast.orthopoly import orthonormal_table, secondary_table
+
+
+def gauss_rule(rc, n):
+    """n-point Gauss rule (nodes, weights) of the measure behind rc
+    (Golub-Welsch): eigenvalues of the leading n x n Jacobi block, and
+    beta_0 times the squared first components of its eigenvectors."""
+    off = np.sqrt(rc.beta[1:n])
+    vals, vecs = np.linalg.eigh(np.diag(rc.alpha[:n]) + np.diag(off, 1) + np.diag(off, -1))
+    return vals, rc.beta[0] * vecs[0] ** 2
+
+
+def monic(rc, n, x):
+    """Monic pi_n(x) by pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1}."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(n):
+        prev, cur = cur, (x - rc.alpha[k]) * cur - (rc.beta[k] if k else 0.0) * prev
+    return cur
 
 
 def secondary_polynomial_by_quadrature(rc, n, x):
@@ -19,11 +36,11 @@ def secondary_polynomial_by_quadrature(rc, n, x):
     is a degree-(n-1) polynomial in t, integrated exactly by a rule of
     size >= n.
     """
-    rule = cc.gauss_rule(rc, min(rc.n, 2 * n + 2))
-    pt = orthonormal_table(rc, n, rule.nodes)[n]
+    nodes, weights = gauss_rule(rc, min(rc.n, 2 * n + 2))
+    pt = orthonormal_table(rc, n, nodes)[n]
     px = orthonormal_table(rc, n, x)[n]
-    diff = rule.nodes[None, :] - x[:, None]
-    return ((pt[None, :] - px[:, None]) / diff) @ rule.weights
+    diff = nodes[None, :] - x[:, None]
+    return ((pt[None, :] - px[:, None]) / diff) @ weights
 
 
 def jacobi_alpha(n, s, cut=1.0):
@@ -178,60 +195,57 @@ class TestRecurrenceCoefficients:
 class TestPolynomialEvaluation:
     def test_monic_pi0_is_one(self, weight_x):
         rc = cc.recurrence_coefficients(weight_x, 4)
-        assert cc.eval_monic(rc, 0, 0.37) == 1.0
+        assert monic(rc, 0, np.float64(0.37)) == 1.0
 
     def test_monic_semicircle(self, semicircle):
         rc = cc.recurrence_coefficients(semicircle, 4)
         xs = np.linspace(-1, 1, 7)
-        np.testing.assert_allclose(cc.eval_monic(rc, 1, xs), xs, atol=1e-14)
-        np.testing.assert_allclose(cc.eval_monic(rc, 2, xs), xs**2 - 0.25,
-                                   atol=1e-14)
+        np.testing.assert_allclose(monic(rc, 1, xs), xs, atol=1e-14)
+        np.testing.assert_allclose(monic(rc, 2, xs), xs**2 - 0.25, atol=1e-14)
 
     def test_monic_weight_x(self, weight_x):
         rc = cc.recurrence_coefficients(weight_x, 3)
-        assert cc.eval_monic(rc, 1, 0.9) == pytest.approx(0.9 - 2 / 3, rel=1e-13)
+        assert monic(rc, 1, np.float64(0.9)) == pytest.approx(0.9 - 2 / 3, rel=1e-13)
 
     def test_orthonormal_values(self, semicircle, weight_2x):
         rc = cc.recurrence_coefficients(semicircle, 4)
-        assert cc.eval_orthonormal(rc, 0, 0.3) == pytest.approx(1.0)
+        assert orthonormal_table(rc, 0, 0.3)[0] == pytest.approx(1.0)
         xs = np.linspace(-1, 1, 7)
-        np.testing.assert_allclose(cc.eval_orthonormal(rc, 1, xs), 2 * xs,
+        np.testing.assert_allclose(orthonormal_table(rc, 1, xs)[1], 2 * xs,
                                    atol=1e-13)
         rc2 = cc.recurrence_coefficients(weight_2x, 3)
-        assert cc.eval_orthonormal(rc2, 0, 0.5) == pytest.approx(1.0, rel=1e-13)
+        assert orthonormal_table(rc2, 0, 0.5)[0] == pytest.approx(1.0, rel=1e-13)
 
     def test_orthonormal_monic_consistency(self, weight_2x):
         rc = cc.recurrence_coefficients(weight_2x, 7)
         xs = np.linspace(0.05, 0.95, 11)
+        table = orthonormal_table(rc, 5, xs)
         for n in range(6):
             norm = math.sqrt(np.prod(rc.beta[:n + 1]))
-            np.testing.assert_allclose(cc.eval_orthonormal(rc, n, xs),
-                                       cc.eval_monic(rc, n, xs) / norm,
+            np.testing.assert_allclose(table[n], monic(rc, n, xs) / norm,
                                        rtol=1e-10, atol=1e-12)
 
     def test_index_out_of_range(self, weight_x):
         rc = cc.recurrence_coefficients(weight_x, 3)
         with pytest.raises(IndexOutOfRange):
-            cc.eval_monic(rc, 3, 0.1)
+            secondary_table(rc, 3, 0.1)
         with pytest.raises(IndexOutOfRange):
-            cc.eval_orthonormal(rc, 5, 0.1)
+            orthonormal_table(rc, 5, 0.1)
 
 
 class TestSecondaryPolynomials:
     def test_q0_is_zero(self, weight_x):
         rc = cc.recurrence_coefficients(weight_x, 4)
-        assert cc.eval_secondary_polynomial(rc, 0, 0.4) == 0.0
+        assert secondary_table(rc, 0, 0.4)[0] == 0.0
 
     def test_semicircle_q1_constant(self, semicircle):
         rc = cc.recurrence_coefficients(semicircle, 4)
         xs = np.linspace(-0.8, 0.8, 5)
-        np.testing.assert_allclose(cc.eval_secondary_polynomial(rc, 1, xs),
-                                   2.0, rtol=1e-13)
+        np.testing.assert_allclose(secondary_table(rc, 1, xs)[1], 2.0, rtol=1e-13)
 
     def test_semicircle_q2_vanishes_at_zero(self, semicircle):
         rc = cc.recurrence_coefficients(semicircle, 4)
-        assert cc.eval_secondary_polynomial(rc, 2, 0.0) == pytest.approx(0.0,
-                                                                         abs=1e-14)
+        assert secondary_table(rc, 2, 0.0)[2] == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("fixture", ["semicircle", "weight_2x"])
     def test_recurrence_seed_against_defining_integral(self, fixture, request):
@@ -243,7 +257,7 @@ class TestSecondaryPolynomials:
         xs = np.linspace(a + 0.07, b - 0.07, 9)
         for n in range(1, 7):
             oracle = secondary_polynomial_by_quadrature(rc, n, xs)
-            fast = cc.eval_secondary_polynomial(rc, n, xs)
+            fast = secondary_table(rc, n, xs)[n]
             np.testing.assert_allclose(fast, oracle, rtol=1e-10, atol=1e-11)
 
     def test_wronskian_identity(self, measure_suite):
@@ -254,27 +268,28 @@ class TestSecondaryPolynomials:
             rc = cc.recurrence_coefficients(m, 8)
             a, b = m.hull
             xs = np.linspace(a + 0.05, b - 0.05, 13)
+            p, q = orthonormal_table(rc, 5, xs), secondary_table(rc, 5, xs)
             for n in range(5):
-                w = (cc.eval_orthonormal(rc, n, xs)
-                     * cc.eval_secondary_polynomial(rc, n + 1, xs)
-                     - cc.eval_orthonormal(rc, n + 1, xs)
-                     * cc.eval_secondary_polynomial(rc, n, xs))
+                w = p[n] * q[n + 1] - p[n + 1] * q[n]
                 np.testing.assert_allclose(w, 1 / math.sqrt(rc.beta[n + 1]),
                                            rtol=1e-9, err_msg=name)
 
 
 class TestGaussRule:
+    """Recurrence coefficients and orthonormal tables against the
+    test-local Golub-Welsch rule ``gauss_rule``."""
+
     def test_semicircle_single_node(self, semicircle):
         rc = cc.recurrence_coefficients(semicircle, 3)
-        rule = cc.gauss_rule(rc, 1)
-        assert rule.nodes[0] == pytest.approx(0.0, abs=1e-14)
-        assert rule.weights[0] == pytest.approx(1.0, rel=1e-13)
+        nodes, weights = gauss_rule(rc, 1)
+        assert nodes[0] == pytest.approx(0.0, abs=1e-14)
+        assert weights[0] == pytest.approx(1.0, rel=1e-13)
 
     def test_weight_x_single_node(self, weight_x):
         rc = cc.recurrence_coefficients(weight_x, 3)
-        rule = cc.gauss_rule(rc, 1)
-        assert rule.nodes[0] == pytest.approx(2 / 3, rel=1e-13)
-        assert rule.weights[0] == pytest.approx(0.5, rel=1e-13)
+        nodes, weights = gauss_rule(rc, 1)
+        assert nodes[0] == pytest.approx(2 / 3, rel=1e-13)
+        assert weights[0] == pytest.approx(0.5, rel=1e-13)
 
     @pytest.mark.parametrize("name", ["semicircle", "weight_x", "sqrt",
                                       "laguerre_s1"])
@@ -282,17 +297,11 @@ class TestGaussRule:
         m = measure_suite[name]
         n = 6
         rc = cc.recurrence_coefficients(m, n + 1)
-        rule = cc.gauss_rule(rc, n)
+        nodes, weights = gauss_rule(rc, n)
         moms = cc.moments(m, 2 * n - 1)
         for k in range(2 * n):
-            got = float(np.sum(rule.weights * rule.nodes**k))
-            assert got == pytest.approx(moms.values[k], rel=1e-10, abs=1e-12), (name, k)
-
-    def test_weights_sum_to_mass(self, measure_suite):
-        for name, m in measure_suite.items():
-            rc = cc.recurrence_coefficients(m, 9)
-            rule = cc.gauss_rule(rc, 8)
-            assert np.sum(rule.weights) == pytest.approx(rc.beta[0], rel=1e-12), name
+            got = float(np.sum(weights * nodes**k))
+            assert got == pytest.approx(moms[k], rel=1e-10, abs=1e-12), (name, k)
 
     def test_orthonormality(self, measure_suite):
         # Gauss rule of size N+1 resolves <P_i, P_j> = delta_ij for i,j <= N-1.
@@ -300,10 +309,9 @@ class TestGaussRule:
             m = measure_suite[name]
             n = 8
             rc = cc.recurrence_coefficients(m, n + 2)
-            rule = cc.gauss_rule(rc, n + 1)
-            table = np.array([cc.eval_orthonormal(rc, i, rule.nodes)
-                              for i in range(n)])
-            gram = (table * rule.weights) @ table.T
+            nodes, weights = gauss_rule(rc, n + 1)
+            table = orthonormal_table(rc, n - 1, nodes)
+            gram = (table * weights) @ table.T
             np.testing.assert_allclose(gram, np.eye(n), atol=1e-10,
                                        err_msg=name)
 
@@ -326,7 +334,7 @@ class TestPadeAsymptotics:
         rc = cc.recurrence_coefficients(semicircle, 4)
         z = 40.0
         s = cc.stieltjes_transform(semicircle, z).real
-        naive = z**3 * (s - cc.eval_secondary_polynomial(rc, 1, z)
-                        / cc.eval_orthonormal(rc, 1, z))
+        naive = z**3 * (s - secondary_table(rc, 1, z)[1]
+                        / orthonormal_table(rc, 1, z)[1])
         series = cc.pade_defect(semicircle, rc, 0, z)
         assert series == pytest.approx(naive, rel=1e-6)

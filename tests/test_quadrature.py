@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chaincast as cc
-from chaincast import quadrature
+from chaincast import quadrature, stieltjes
 
 
 class TestNestedLevels:
@@ -92,6 +92,23 @@ class TestClosedForms:
         assert quadrature.integrate(np.cos, 1.0, 1.0) == (0.0, True)
 
 
+class TestTailCutoff:
+    def test_scales_with_the_tail(self):
+        # J = c w exp(-w/omega_c) peaks at omega_c; the cutoff must follow
+        # omega_c however large, with J there below 1e-16 of the peak.
+        ratios = []
+        for omega_c in (1.0, 1e12, 1e15):
+            sd = cc.power_law_exp_sd(1.0, 0.1, omega_c)
+            t = sd.tail.cutoff(0)
+            ratios.append(t / omega_c)
+            assert sd(t) <= 1e-16 * sd(omega_c)
+        assert max(ratios) <= 2.0 * min(ratios)
+
+    def test_overflow_raises(self):
+        with pytest.raises(cc.DivergentMoment):
+            quadrature.tail_cutoff(1e-320, 0.0, 1.0)
+
+
 class TestVectorIntegrand:
     # Components that converge at different levels: the smooth one early,
     # the endpoint-singular and oscillating ones late.
@@ -165,8 +182,8 @@ _FLAG_CALLERS = {
             cc.piecewise_uniform_sd([(0, 1, 1.0), (2, 3, 1.0)]), 0.0))),
     "reducer": (
         "chaincast.stieltjes", 2,
-        lambda: cc.reducer(cc.power_law_measure(2.0, 1.0), 0.3,
-                           method="derivative")),
+        lambda: stieltjes._reducer_derivative_form(
+            cc.power_law_measure(2.0, 1.0), np.array([0.3]))),
 }
 
 

@@ -173,13 +173,13 @@ class TestSecondaryMoments:
     def test_semicircle_first_values(self, semicircle):
         moms = cc.moments(semicircle, 6)
         rho = cc.secondary_moments(moms, 2)
-        assert rho.values[0] == pytest.approx(0.25, abs=1e-12)
-        assert rho.values[1] == pytest.approx(0.0, abs=1e-12)
+        assert rho[0] == pytest.approx(0.25, abs=1e-12)
+        assert rho[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_weight_2x_mass_equals_beta1(self, weight_2x):
         moms = cc.moments(weight_2x, 4)
         rho = cc.secondary_moments(moms, 1)
-        assert rho.values[0] == pytest.approx(1 / 18, rel=1e-10)
+        assert rho[0] == pytest.approx(1 / 18, rel=1e-10)
 
     def test_against_quadrature_of_density(self, weight_2x):
         # The recurrence is the oracle for quadrature of the secondary density.
@@ -190,7 +190,7 @@ class TestSecondaryMoments:
             val, _ = cc.quadrature.integrate(
                 lambda x, k=k: cc.secondary_density(weight_2x, x) * x**k,
                 lo, hi, rel_tol=1e-11)
-            assert val == pytest.approx(rho.values[k], abs=2e-7), k
+            assert val == pytest.approx(rho[k], abs=2e-7), k
 
     def test_insufficient_moments(self, semicircle):
         moms = cc.moments(semicircle, 3)

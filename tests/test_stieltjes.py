@@ -86,35 +86,32 @@ class TestReducer:
         xs = np.linspace(-0.9, 0.9, 11)
         np.testing.assert_allclose(cc.reducer(semicircle, xs), 4 * xs,
                                    atol=1e-12)
-        np.testing.assert_allclose(
-            cc.reducer(semicircle_plain, xs, method="lipschitz"), 4 * xs,
-            atol=1e-9)
+        # no family attached: the Lipschitz route
+        np.testing.assert_allclose(cc.reducer(semicircle_plain, xs), 4 * xs,
+                                   atol=1e-9)
 
     def test_uniform_midpoint_vanishes(self):
         m = cc.Measure(lambda x: np.ones_like(np.asarray(x, float)),
                        ((0.0, 1.0),))
-        assert cc.reducer(m, 0.5, method="lipschitz") == pytest.approx(0.0,
-                                                                       abs=1e-12)
+        assert cc.reducer(m, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_weight_x_closed_form(self, weight_x):
         ts = np.array([0.2, 0.5, 0.7])
         want = -2.0 * (1.0 + ts * np.log((1 - ts) / ts))
         np.testing.assert_allclose(cc.reducer(weight_x, ts), want, rtol=1e-12)
-        np.testing.assert_allclose(cc.reducer(weight_x, ts, method="lipschitz"),
+        np.testing.assert_allclose(stieltjes._reducer_lipschitz(weight_x, ts),
                                    want, rtol=1e-10)
         assert cc.reducer(weight_x, 0.5) == pytest.approx(-2.0, rel=1e-12)
 
     def test_methods_agree_on_c1_weights(self, weight_2x):
         # Lipschitz and integrated-by-parts forms agree on C^1 weights.
         xs = np.linspace(0.1, 0.9, 9)
-        lips = cc.reducer(weight_2x, xs, method="lipschitz")
-        deriv = cc.reducer(weight_2x, xs, method="derivative")
-        np.testing.assert_allclose(lips, deriv, atol=1e-8)
         poly = cc.Measure(lambda x: 1.0 + x * (1 - x),
                           ((0.0, 1.0),))
-        lips = cc.reducer(poly, xs, method="lipschitz")
-        deriv = cc.reducer(poly, xs, method="derivative")
-        np.testing.assert_allclose(lips, deriv, atol=1e-8)
+        for m in (weight_2x, poly):
+            np.testing.assert_allclose(stieltjes._reducer_lipschitz(m, xs),
+                                       stieltjes._reducer_derivative_form(m, xs),
+                                       atol=1e-8)
 
     def test_exponential_cutoff_closed_form(self):
         # Laguerre-family reducer via the exponential integral
@@ -144,7 +141,7 @@ class TestReducer:
 
 
 class TestRouteSelection:
-    """"auto" takes the family closed form when there is one, else the
+    """``reducer`` takes the family closed form when there is one, else the
     Lipschitz route."""
 
     @pytest.fixture
@@ -171,17 +168,13 @@ class TestRouteSelection:
         xs = np.linspace(0.05, 0.95, 19)
         auto = cc.reducer(m, xs)
         assert lipschitz_calls == [19]
-        np.testing.assert_array_equal(auto, cc.reducer(m, xs, method="lipschitz"))
+        np.testing.assert_array_equal(auto, stieltjes._reducer_lipschitz(m, xs))
 
     def test_familyless_unbounded_rejected(self):
         m = cc.Measure(lambda x: np.exp(-np.asarray(x, float)),
                        ((0.0, math.inf),), tail=cc.TailBound(1.0))
         with pytest.raises(UnsupportedMeasure):
             cc.reducer(m, 1.0)
-
-    def test_unknown_method(self, weight_x):
-        with pytest.raises(ValueError, match="bogus"):
-            cc.reducer(weight_x, 0.5, method="bogus")
 
 
 class TestLipschitzRoute:
@@ -217,7 +210,7 @@ class TestLipschitzRoute:
 
     def test_converged_route_logs_nothing(self, weight_x, caplog):
         with caplog.at_level(logging.WARNING, logger="chaincast.stieltjes"):
-            cc.reducer(weight_x, np.linspace(0.1, 0.9, 9), method="lipschitz")
+            stieltjes._reducer_lipschitz(weight_x, np.linspace(0.1, 0.9, 9))
         assert not caplog.records
 
     def test_familyless_semicircle_is_its_own_residual(self):
