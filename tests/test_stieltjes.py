@@ -278,16 +278,17 @@ class TestRowRefinement:
     keeps its level's value and leaves the kernel."""
 
     @pytest.fixture
-    def pv_rows(self, monkeypatch):
-        rows = []
+    def pv_calls(self, monkeypatch):
+        """(rows, nodes) of every ``_pv_sums`` call."""
+        calls = []
         kernel = stieltjes._pv_sums
 
-        def counted(m, x, *args):
-            rows.append(len(x))
-            return kernel(m, x, *args)
+        def counted(m, x, mu_x, delta, t, *args):
+            calls.append((len(x), len(t)))
+            return kernel(m, x, mu_x, delta, t, *args)
 
         monkeypatch.setattr(stieltjes, "_pv_sums", counted)
-        return rows
+        return calls
 
     def test_rows_are_independent(self, caplog):
         m = cc.measure_from_sd(_familyless_semicircle(0.3, 2.1, 0.7), 0.0)
@@ -304,17 +305,20 @@ class TestRowRefinement:
         assert np.all(np.abs(stacked[1:-1] - inner) <= 1e-15 * scale[1:-1])
         assert np.all(np.abs(stacked - single) <= 1e-15 * scale)
 
-    def test_flat_measure_converges_at_the_first_comparison(self, pv_rows):
+    def test_flat_measure_converges_at_the_first_comparison(self, pv_calls):
         m = cc.measure_from_sd(cc.piecewise_uniform_sd([(0.1, 1.7, 0.8)]), 0.0)
         cc.reducer(m, np.linspace(*stieltjes.evaluation_band(m), 2048))
-        assert pv_rows == [2048, 2048]
+        # all 97 nodes of level 3, then the 96 that level 4 adds; a start
+        # that drifts back up to level 6 pays 775 + 774
+        assert pv_calls == [(2048, 97), (2048, 96)]
 
-    def test_only_unconverged_rows_refine(self, pv_rows, caplog):
+    def test_only_unconverged_rows_refine(self, pv_calls, caplog):
         m = cc.measure_from_sd(_familyless_semicircle(0.3, 2.1, 0.7), 0.0)
         xs = np.linspace(*stieltjes.evaluation_band(m), 4096)
         with caplog.at_level(logging.WARNING, logger="chaincast.stieltjes"):
             cc.reducer(m, xs)
-        assert len(pv_rows) == quadrature.MAX_LEVEL - quadrature.MIN_LEVEL + 1
+        pv_rows = [rows for rows, _ in pv_calls]
+        assert len(pv_rows) == quadrature.MAX_LEVEL - stieltjes.PV_MIN_LEVEL + 1
         assert pv_rows[:2] == [4096, 4096]
         assert pv_rows[2] < 64
         assert pv_rows[2:] == sorted(pv_rows[2:], reverse=True)
@@ -324,6 +328,78 @@ class TestRowRefinement:
         # the rows still open after the last level are among those it ran
         missed = re.search(r"on (\d+) of 4096 points", records[0].getMessage())
         assert 0 < int(missed.group(1)) <= pv_rows[-1]
+
+    ORACLE = {
+        "semicircle_q0": lambda: cc.measure_from_sd(
+            _familyless_semicircle(0.3, 2.1, 0.7), 0.0),
+        "semicircle_q1": lambda: cc.measure_from_sd(
+            _familyless_semicircle(0.0, 1.3, 0.7), 1.0),
+        **{f"power_law_{s}": lambda s=s: cc.measure_from_sd(cc.custom_sd(
+            lambda w: 0.3 * np.maximum(w, 0.0) ** s, ((0.0, 1.0),),
+            ((s, 0.0),)), 0.0) for s in (0.5, 1.0, 2.0)},
+        "exp_inverse_power": lambda: cc.measure_from_sd(cc.custom_sd(
+            lambda w: np.exp(-np.maximum(w, 1e-300) ** -0.7), ((0.0, 1.0),)), 0.0),
+        "tabulated_linear": lambda: cc.measure_from_sd(cc.tabulated_sd(
+            np.linspace(0.1, 2.0, 41), 0.2 + 0.5 * np.linspace(0.1, 2.0, 41)), 0.0),
+        # no row converges by level 11 under either start
+        "lorentzian_1e-3": lambda: cc.measure_from_sd(cc.custom_sd(
+            lambda w: 1e-3 / ((w - 0.6) ** 2 + 1e-6), ((0.0, 1.0),)), 0.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLE))
+    def test_matches_a_level6_start(self, name):
+        # reference: the same loop started at quadrature.MIN_LEVEL = 6.
+        # Rows stop at the first comparison they pass, so the two starts
+        # may differ by about PV_REL_TOL per row
+        m = self.ORACLE[name]()
+        a, b = m.hull
+        lo, hi = stieltjes.evaluation_band(m)
+        t = quadrature.map_nodes(7, a, b)[0]
+        xs = np.concatenate([np.linspace(lo, hi, 257), t[(t >= lo) & (t <= hi)][::7]])
+        new, new_ok = _lipschitz_rows(m, xs, stieltjes.PV_MIN_LEVEL)
+        old, old_ok = _lipschitz_rows(m, xs, 6)
+        assert np.array_equal(stieltjes._reducer_lipschitz(m, xs), new)
+        assert np.count_nonzero(~new_ok) <= np.count_nonzero(~old_ok)
+        scale = np.abs(old) + np.asarray(m.weight(xs), float)
+        both = new_ok & old_ok
+        assert np.all(np.abs(new - old)[both] <= 1e-12 * scale[both])
+        # a row that neither start settles sums the same levels, nested
+        # from different first levels: they agree to rounding
+        neither = ~new_ok & ~old_ok
+        assert np.all(np.abs(new - old)[neither] <= 1e-15 * scale[neither])
+
+
+def _lipschitz_rows(m, x, start):
+    """``stieltjes._reducer_lipschitz`` with its first level as a
+    parameter; also returns which rows met PV_REL_TOL."""
+    a, b = m.hull
+    delta = stieltjes.PV_BAND_FRACTION * np.minimum(x - a, b - x)
+    mu_x = np.asarray(m.weight(x), float)
+    out = np.empty(len(x))
+    converged = np.zeros(len(x), bool)
+    active = np.arange(len(x))
+    cur = None
+    for level in range(start, quadrature.MAX_LEVEL + 1):
+        t, _, _, w = quadrature.map_nodes(level, a, b)
+        if cur is not None:
+            new = quadrature.refinement(level)[2]
+            t, w = t[new], w[new]
+        part = stieltjes._pv_sums(m, x[active], mu_x[active], delta[active], t,
+                                  np.asarray(m.weight(t), float), w)
+        if cur is None:
+            cur = part
+            continue
+        prev = cur
+        cur = 0.5 * prev + part
+        change = np.abs(cur - prev) / (np.abs(cur) + np.abs(mu_x[active]) + 1e-300)
+        done = change < stieltjes.PV_REL_TOL
+        out[active[done]] = cur[done]
+        converged[active[done]] = True
+        active, cur = active[~done], cur[~done]
+        if not len(active):
+            break
+    out[active] = cur
+    return 2.0 * mu_x * np.log((x - a) / (b - x)) - 2.0 * out, converged
 
 
 def _familyless_semicircle(a, b, c):
@@ -373,7 +449,7 @@ class TestPvKernel:
         span = b - a
         lin = np.linspace(lo, hi, 97)
         # node 0 of every level: t - x is exactly 0 there in the first level
-        mid_node = quadrature.map_nodes(quadrature.MIN_LEVEL, a, b)[0]
+        mid_node = quadrature.map_nodes(stieltjes.PV_MIN_LEVEL, a, b)[0]
         mid_node = mid_node[len(mid_node) // 2]
         inner = t[(t >= lo) & (t <= hi)]
         sub = inner[len(inner) // 7::max(1, len(inner) // 20)]
@@ -390,14 +466,14 @@ class TestPvKernel:
                 for f in (0.4, -0.7, 1.5, -1.9)]),
         }
 
-    @pytest.mark.parametrize("level", range(quadrature.MIN_LEVEL,
+    @pytest.mark.parametrize("level", range(stieltjes.PV_MIN_LEVEL,
                                             quadrature.MAX_LEVEL + 1))
     @pytest.mark.parametrize("name", sorted(MEASURES))
     def test_matches_dense_masks(self, name, level):
         m = self.MEASURES[name]()
         a, b = m.hull
         t, _, _, w = quadrature.map_nodes(level, a, b)
-        if level > quadrature.MIN_LEVEL:
+        if level > stieltjes.PV_MIN_LEVEL:
             new = quadrature.refinement(level)[2]
             t, w = t[new], w[new]
         mu_t = np.asarray(m.weight(t), float)
