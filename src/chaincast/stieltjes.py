@@ -59,13 +59,12 @@ PV_BAND_FRACTION = 1e-6
 # Minimum distance of a real Stieltjes argument from the support.
 POLE_GUARD_FRACTION = 1e-8
 
-# The Lipschitz reducer refines each row x from tanh-sinh level
-# PV_MIN_LEVEL until the row's relative change between two levels falls
-# below PV_REL_TOL, or up to quadrature.MAX_LEVEL.  A row keeps the value
-# of the first comparison it passes, whatever the start: a row that passes
-# at the first one costs 193 nodes from level 3 against 1549 from level 6.
-# quadrature.integrate keeps its own, finer start (quadrature.MIN_LEVEL),
-# which the report's moment integrals need to meet their tolerance.
+# The Lipschitz reducer refines each row x from its first level
+# (``_first_level``: PV_MIN_LEVEL where mu is resolved there) until the
+# row's relative change between two levels falls below PV_REL_TOL, or up to
+# quadrature.MAX_LEVEL.  Not quadrature.MIN_LEVEL: quadrature.integrate
+# needs its finer start for the report's moment integrals to meet their
+# tolerance.
 PV_MIN_LEVEL = 3
 PV_REL_TOL = 1e-13
 
@@ -158,6 +157,31 @@ def _pv_sums(m: Measure, x, mu_x, delta, t, mu_t, w) -> np.ndarray:
     return out
 
 
+def _first_level(m: Measure) -> int:
+    """First tanh-sinh level of the Lipschitz reducer's rows: the coarsest
+    level from PV_MIN_LEVEL whose next level sums mu to PV_REL_TOL of its
+    sum at quadrature.MIN_LEVEL + 1, else quadrature.MIN_LEVEL.
+
+    A row stops at the first comparison it passes, so it cannot see a
+    feature of mu that falls between the nodes of both levels compared.
+    Such a feature, if the level-(MIN_LEVEL + 1) nodes see it, moves the
+    coarse sums of mu by its mass and so keeps the start fine.
+    """
+    a, b = m.hull
+    sums = []
+    for level in range(PV_MIN_LEVEL, quadrature.MIN_LEVEL + 2):
+        t, _, _, w = quadrature.map_nodes(level, a, b)
+        if sums:
+            new = quadrature.refinement(level)[2]
+            t, w = t[new], w[new]
+        part = np.asarray(m.weight(t), float) @ w
+        sums.append(0.5 * sums[-1] + part if sums else part)
+    for level, s in enumerate(sums[1:-1], PV_MIN_LEVEL):
+        if abs(s - sums[-1]) <= PV_REL_TOL * abs(sums[-1]):
+            return level
+    return quadrature.MIN_LEVEL
+
+
 def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     """2 mu(x) ln((x-a)/(b-x)) - 2 int (mu(t)-mu(x))/(t-x) dt.
 
@@ -172,15 +196,15 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     stays clear of the tanh-sinh nodes clustered there, where mu may vary
     like a power of that distance.
 
-    The integral runs over nested tanh-sinh levels from PV_MIN_LEVEL (3):
+    The integral runs over nested tanh-sinh levels from ``_first_level``:
     each level after the first adds only its new nodes to half the
     previous sum.  Rows refine one by one, as the components of
     ``quadrature.integrate`` do: a row whose relative change falls below
-    PV_REL_TOL keeps that level's value and drops out.  On an even grid
-    nearly every row stops at level 4, at the first comparison; only rows
-    that do not settle (on an even grid, those within about 1e-12 of the
-    span from an endpoint) run on to the last level, where they are
-    logged as a warning, not raised.  The kernel is formed in row blocks
+    PV_REL_TOL keeps that level's value and drops out.  For a smooth mu
+    nearly every row stops at the first comparison; only rows that do not
+    settle (on an even grid, those within about 1e-12 of the span from an
+    endpoint) run on to the last level, where they are logged as a
+    warning, not raised.  The kernel is formed in row blocks
     (``_pv_sums``), so memory does not grow with len(x) times the node
     count.
     """
@@ -191,7 +215,7 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     out = np.empty(len(x))
     active = np.arange(len(x))
     cur = None
-    for level in range(PV_MIN_LEVEL, quadrature.MAX_LEVEL + 1):
+    for level in range(_first_level(m), quadrature.MAX_LEVEL + 1):
         t, _, _, w = quadrature.map_nodes(level, a, b)
         if cur is not None:
             new = quadrature.refinement(level)[2]

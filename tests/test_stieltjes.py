@@ -308,8 +308,7 @@ class TestRowRefinement:
     def test_flat_measure_converges_at_the_first_comparison(self, pv_calls):
         m = cc.measure_from_sd(cc.piecewise_uniform_sd([(0.1, 1.7, 0.8)]), 0.0)
         cc.reducer(m, np.linspace(*stieltjes.evaluation_band(m), 2048))
-        # all 97 nodes of level 3, then the 96 that level 4 adds; a start
-        # that drifts back up to level 6 pays 775 + 774
+        # all 97 nodes of level 3, then the 96 that level 4 adds
         assert pv_calls == [(2048, 97), (2048, 96)]
 
     def test_only_unconverged_rows_refine(self, pv_calls, caplog):
@@ -341,14 +340,25 @@ class TestRowRefinement:
             lambda w: np.exp(-np.maximum(w, 1e-300) ** -0.7), ((0.0, 1.0),)), 0.0),
         "tabulated_linear": lambda: cc.measure_from_sd(cc.tabulated_sd(
             np.linspace(0.1, 2.0, 41), 0.2 + 0.5 * np.linspace(0.1, 2.0, 41)), 0.0),
+        # compact and narrower than the level-5 node spacing
+        "tabulated_bump": lambda: cc.measure_from_sd(cc.tabulated_sd(
+            [0.0, 0.3, 0.305, 0.31, 1.0], [1.0, 1.0, 2.0, 1.0, 1.0]), 0.0),
         # no row converges by level 11 under either start
         "lorentzian_1e-3": lambda: cc.measure_from_sd(cc.custom_sd(
             lambda w: 1e-3 / ((w - 0.6) ** 2 + 1e-6), ((0.0, 1.0),)), 0.0),
     }
 
+    # phi = 2 PV int mu(t)/(x - t) dt of the semicircles above (mu = J/pi;
+    # at q = 1 split 2w/(x - w^2) into the PV part at sqrt(x) and a regular
+    # part at -sqrt(x))
+    CLOSED_FORM = {
+        "semicircle_q0": lambda x: 1.4 * (x - 1.2),
+        "semicircle_q1": lambda x: 1.4 * (np.sqrt(np.sqrt(x) * (1.3 + np.sqrt(x))) - 1.3),
+    }
+
     @pytest.mark.parametrize("name", sorted(ORACLE))
-    def test_matches_a_level6_start(self, name):
-        # reference: the same loop started at quadrature.MIN_LEVEL = 6.
+    def test_matches_a_level6_start(self, name, monkeypatch, caplog):
+        # reference: the route with every row started at quadrature.MIN_LEVEL.
         # Rows stop at the first comparison they pass, so the two starts
         # may differ by about PV_REL_TOL per row
         m = self.ORACLE[name]()
@@ -356,50 +366,51 @@ class TestRowRefinement:
         lo, hi = stieltjes.evaluation_band(m)
         t = quadrature.map_nodes(7, a, b)[0]
         xs = np.concatenate([np.linspace(lo, hi, 257), t[(t >= lo) & (t <= hi)][::7]])
-        new, new_ok = _lipschitz_rows(m, xs, stieltjes.PV_MIN_LEVEL)
-        old, old_ok = _lipschitz_rows(m, xs, 6)
-        assert np.array_equal(stieltjes._reducer_lipschitz(m, xs), new)
-        assert np.count_nonzero(~new_ok) <= np.count_nonzero(~old_ok)
+        with caplog.at_level(logging.WARNING, logger="chaincast.stieltjes"):
+            new = stieltjes._reducer_lipschitz(m, xs)
+            new_missed = _unconverged_rows(caplog)
+            caplog.clear()
+            monkeypatch.setattr(stieltjes, "PV_MIN_LEVEL", quadrature.MIN_LEVEL)
+            old = stieltjes._reducer_lipschitz(m, xs)
+            old_missed = _unconverged_rows(caplog)
+        assert new_missed <= old_missed
         scale = np.abs(old) + np.asarray(m.weight(xs), float)
-        both = new_ok & old_ok
-        assert np.all(np.abs(new - old)[both] <= 1e-12 * scale[both])
-        # a row that neither start settles sums the same levels, nested
-        # from different first levels: they agree to rounding
-        neither = ~new_ok & ~old_ok
-        assert np.all(np.abs(new - old)[neither] <= 1e-15 * scale[neither])
+        apart = np.abs(new - old) > 1e-12 * scale
+        if apart.any():
+            # rows on tanh-sinh nodes near an endpoint, which the level-6
+            # start leaves unconverged and off by up to 2e-8, settle from
+            # the coarse start: the closed form decides there
+            assert name in self.CLOSED_FORM, xs[apart]
+            want = self.CLOSED_FORM[name](xs[apart])
+            assert np.all(np.abs(new[apart] - want) <= 1e-12 * scale[apart])
+
+    def test_narrow_bump_keeps_the_fine_start(self, caplog):
+        # a 0.01-wide tent on a flat J, between the nodes of levels 3 to 5:
+        # rows that start coarse see a flat mu, stop at the first
+        # comparison and miss the tent by up to 37%, without a warning
+        m = cc.measure_from_sd(cc.tabulated_sd(
+            [0.0, 0.3, 0.305, 0.31, 1.0], [1.0, 1.0, 2.0, 1.0, 1.0]), 0.0)
+        assert stieltjes._first_level(m) == quadrature.MIN_LEVEL
+        xs = np.array([0.05, 0.2, 0.29, 0.32, 0.6, 0.9])
+        with caplog.at_level(logging.WARNING, logger="chaincast.stieltjes"):
+            got = cc.reducer(m, xs)
+        # 2 PV int mu(t)/(x - t) dt, mu = (c0 + c1 t)/pi on each piece [p, q]
+        pieces = [(0.0, 0.3, 1.0, 0.0), (0.3, 0.305, -59.0, 200.0),
+                  (0.305, 0.31, 63.0, -200.0), (0.31, 1.0, 1.0, 0.0)]
+        want = 2.0 / math.pi * sum(
+            (c0 + c1 * xs) * np.log(np.abs((xs - p) / (xs - q))) - c1 * (q - p)
+            for p, q, c0, c1 in pieces)
+        # the kinks leave every row short of PV_REL_TOL at level 11 (a
+        # single tanh-sinh panel), which the route reports
+        assert np.all(np.abs(got - want) <= 1e-4 * (np.abs(want) + 1.0 / math.pi))
+        assert _unconverged_rows(caplog) == len(xs)
 
 
-def _lipschitz_rows(m, x, start):
-    """``stieltjes._reducer_lipschitz`` with its first level as a
-    parameter; also returns which rows met PV_REL_TOL."""
-    a, b = m.hull
-    delta = stieltjes.PV_BAND_FRACTION * np.minimum(x - a, b - x)
-    mu_x = np.asarray(m.weight(x), float)
-    out = np.empty(len(x))
-    converged = np.zeros(len(x), bool)
-    active = np.arange(len(x))
-    cur = None
-    for level in range(start, quadrature.MAX_LEVEL + 1):
-        t, _, _, w = quadrature.map_nodes(level, a, b)
-        if cur is not None:
-            new = quadrature.refinement(level)[2]
-            t, w = t[new], w[new]
-        part = stieltjes._pv_sums(m, x[active], mu_x[active], delta[active], t,
-                                  np.asarray(m.weight(t), float), w)
-        if cur is None:
-            cur = part
-            continue
-        prev = cur
-        cur = 0.5 * prev + part
-        change = np.abs(cur - prev) / (np.abs(cur) + np.abs(mu_x[active]) + 1e-300)
-        done = change < stieltjes.PV_REL_TOL
-        out[active[done]] = cur[done]
-        converged[active[done]] = True
-        active, cur = active[~done], cur[~done]
-        if not len(active):
-            break
-    out[active] = cur
-    return 2.0 * mu_x * np.log((x - a) / (b - x)) - 2.0 * out, converged
+def _unconverged_rows(caplog) -> int:
+    """Rows the Lipschitz reducer's warning reports as unconverged."""
+    found = [re.search(r"on (\d+) of \d+ points", r.getMessage())
+             for r in caplog.records if r.name == "chaincast.stieltjes"]
+    return sum(int(f.group(1)) for f in found if f)
 
 
 def _familyless_semicircle(a, b, c):
