@@ -346,10 +346,14 @@ class Measure(_Supported):
 
     def discretize(self, level: int, poly_degree: int = 0):
         """Dense quadrature discretization (x, w) of the continuous part,
-        point masses appended; basis of the generic recurrence path."""
+        point masses appended; basis of the generic recurrence path.  On
+        each support interval the positions are distinct and increasing:
+        tanh-sinh nodes that round onto one double are merged, their
+        weights summed (``quadrature.merge_nodes``)."""
         xs, ws = [], []
         for lo, hi in self._effective_intervals(poly_degree):
             x, _, _, w = quadrature.map_nodes(level, lo, hi)
+            x, w, _ = quadrature.merge_nodes(x, w)
             xs.append(x)
             ws.append(w * self.weight(x))
         for pm in self.point_masses:

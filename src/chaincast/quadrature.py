@@ -14,10 +14,16 @@ weights evaluate cleanly.
 
 The levels are nested (Bailey, Jeyabalan & Li, Exp. Math. 14 (2005) 317):
 halving the step keeps every node of the previous level and adds the odd
-ones between them, so ``integrate`` calls its integrand only on the nodes
-each level adds and reuses the values it already has.  The integrand may
-return an array of shape ``(..., nodes)``; every component then converges
-on its own, exactly as if it had been integrated alone.
+ones between them, so ``integrate`` calls its integrand once per distinct
+position of the nodes each level adds and reuses the values it already
+has.  The integrand may return an array of shape ``(..., nodes)``; every
+component then converges on its own, exactly as if it had been integrated
+alone.
+
+Next to a nonzero endpoint the nodes cluster closer than the spacing of
+doubles there, so about half of each level rounds onto a few positions
+(level 6 on [0.3, 1.6]: 775 nodes, 407 positions).  ``merge_nodes`` folds
+them; every consumer that reads positions only evaluates each one once.
 
 All reductions are plain ``np.sum`` over a fixed node ordering, so repeated
 runs are bit-identical, and the reused values make each level's sum the
@@ -36,6 +42,7 @@ from .errors import DivergentMoment
 __all__ = [
     "nodes",
     "refinement",
+    "merge_nodes",
     "integrate",
     "tail_cutoff",
 ]
@@ -111,6 +118,19 @@ def map_nodes(level: int, a: float, b: float):
     return x, da, db, w * half
 
 
+def merge_nodes(x: np.ndarray, w: np.ndarray):
+    """Merge equal consecutive positions of the sorted nodes ``x``:
+    ``(positions, weights, index)``, the distinct positions in order, the
+    summed weights of the nodes at each, and for every node the index of
+    its position.  ``values[..., index]`` spreads values at the positions
+    back over the nodes.
+    """
+    step = np.empty(len(x), bool)
+    step[:1] = True
+    np.not_equal(x[1:], x[:-1], out=step[1:])
+    return x[step], np.add.reduceat(w, np.flatnonzero(step)), np.cumsum(step) - 1
+
+
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
               with_distances: bool = False):
     """Integrate f over [a, b], halving the step until two consecutive
@@ -118,10 +138,14 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     proportional to the integrand's L1 mass keeps exactly-cancelling
     integrals (odd moments of symmetric weights) from chasing their roundoff.
 
-    Each level calls f only on the nodes it adds (``refinement``).  f may
-    return shape ``(..., nodes)``: the value then has shape ``(...)`` and
-    each component keeps the level at which it converged, so one call
-    gives the same numbers as one scalar call per component.
+    Each level calls f once per distinct position of the nodes it adds
+    (``refinement``, ``merge_nodes``) and spreads the values back over the
+    nodes, so the sums are the same as with f called on every node; with
+    ``with_distances`` the distances tell coinciding nodes apart and f sees
+    every node.  f may return shape ``(..., nodes)``: the value then has
+    shape ``(...)`` and each component keeps the level at which it
+    converged, so one call gives the same numbers as one scalar call per
+    component.
 
     Returns ``(value, converged)``, ``converged`` being true when every
     component converged; the caller decides whether a non-converged result
@@ -130,18 +154,21 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     if not b > a:
         return 0.0, True
 
-    def call(x, da, db):
-        return np.asarray(f(x, da, db) if with_distances else f(x))
+    def call(x, da, db, w):
+        if with_distances:
+            return np.asarray(f(x, da, db))
+        pos, _, index = merge_nodes(x, w)
+        return np.asarray(f(pos))[..., index]
 
     x, da, db, w = map_nodes(MIN_LEVEL, a, b)
-    vals = call(x, da, db)
+    vals = call(x, da, db, w)
     prev = np.sum(vals * w, axis=-1)
     value = prev
     done = np.zeros(np.shape(prev), bool)
     for level in range(MIN_LEVEL + 1, MAX_LEVEL + 1):
         x, da, db, w = map_nodes(level, a, b)
         old, carried, new = refinement(level)
-        fresh = call(x[new], da[new], db[new])
+        fresh = call(x[new], da[new], db[new], w[new])
         full = np.empty(vals.shape[:-1] + w.shape, np.result_type(vals, fresh))
         full[..., old] = vals[..., carried]
         full[..., new] = fresh

@@ -157,6 +157,17 @@ def _pv_sums(m: Measure, x, mu_x, delta, t, mu_t, w) -> np.ndarray:
     return out
 
 
+def _columns(level: int, a: float, b: float, whole: bool):
+    """Distinct positions and summed weights of the tanh-sinh nodes on
+    [a, b] at ``level``: all of them if ``whole``, else those the level
+    adds.  Sorted, as ``_pv_sums`` needs."""
+    t, _, _, w = quadrature.map_nodes(level, a, b)
+    if not whole:
+        new = quadrature.refinement(level)[2]
+        t, w = t[new], w[new]
+    return quadrature.merge_nodes(t, w)[:2]
+
+
 def _first_level(m: Measure) -> int:
     """First tanh-sinh level of the Lipschitz reducer's rows: the coarsest
     level from PV_MIN_LEVEL whose next level sums mu to PV_REL_TOL of its
@@ -170,10 +181,7 @@ def _first_level(m: Measure) -> int:
     a, b = m.hull
     sums = []
     for level in range(PV_MIN_LEVEL, quadrature.MIN_LEVEL + 2):
-        t, _, _, w = quadrature.map_nodes(level, a, b)
-        if sums:
-            new = quadrature.refinement(level)[2]
-            t, w = t[new], w[new]
+        t, w = _columns(level, a, b, whole=not sums)
         part = np.asarray(m.weight(t), float) @ w
         sums.append(0.5 * sums[-1] + part if sums else part)
     for level, s in enumerate(sums[1:-1], PV_MIN_LEVEL):
@@ -198,7 +206,10 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
 
     The integral runs over nested tanh-sinh levels from ``_first_level``:
     each level after the first adds only its new nodes to half the
-    previous sum.  Rows refine one by one, as the components of
+    previous sum.  The columns t of each level are its distinct positions
+    with summed weights (``_columns``), and callers hand in distinct rows x:
+    ``quadrature.integrate`` and the sampling grids evaluate each position
+    once.  Rows refine one by one, as the components of
     ``quadrature.integrate`` do: a row whose relative change falls below
     PV_REL_TOL keeps that level's value and drops out.  For a smooth mu
     nearly every row stops at the first comparison; only rows that do not
@@ -216,10 +227,7 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     active = np.arange(len(x))
     cur = None
     for level in range(_first_level(m), quadrature.MAX_LEVEL + 1):
-        t, _, _, w = quadrature.map_nodes(level, a, b)
-        if cur is not None:
-            new = quadrature.refinement(level)[2]
-            t, w = t[new], w[new]
+        t, w = _columns(level, a, b, whole=cur is None)
         part = _pv_sums(m, x[active], mu_x[active], delta[active], t,
                         np.asarray(m.weight(t), float), w)
         if cur is None:
@@ -236,7 +244,8 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     else:
         out[active] = cur
         _log.warning("Lipschitz reducer not converged at level %d on %d of %d "
-                     "points: max relative change %.3g, required < %.3g",
+                     "distinct points: max relative change %.3g, "
+                     "required < %.3g",
                      quadrature.MAX_LEVEL, len(active), len(x), change.max(),
                      PV_REL_TOL)
     return 2.0 * mu_x * np.log((x - a) / (b - x)) - 2.0 * out

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaincast as cc
+from chaincast import quadrature
 from chaincast.errors import IndexOutOfRange
-from chaincast.measures import scale_mass
+from chaincast.measures import Measure, scale_mass
 from chaincast.orthopoly import orthonormal_table, secondary_table
 
 
@@ -190,6 +191,36 @@ class TestRecurrenceCoefficients:
         rc = cc.recurrence_coefficients(m, 12)
         # symmetric about 1.5, so every alpha is the hull midpoint
         np.testing.assert_allclose(rc.alpha, 1.5, atol=1e-11)
+
+
+def _discretize_every_node(m, level, poly_degree=0):
+    """``Measure.discretize`` without merging nodes that share a position."""
+    xs, ws = [], []
+    for lo, hi in m._effective_intervals(poly_degree):
+        x, _, _, w = quadrature.map_nodes(level, lo, hi)
+        xs.append(x)
+        ws.append(w * m.weight(x))
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+class TestMergedDiscretization:
+    SDS = {
+        "flat": lambda: cc.piecewise_uniform_sd([(0.1, 1.7, 0.8)]),
+        "familyless_semicircle": lambda: cc.custom_sd(
+            lambda w: 0.7 * np.sqrt(np.maximum((w - 0.3) * (2.1 - w), 0.0)),
+            ((0.3, 2.1),), ((0.5, 0.5),)),
+        "gapped": lambda: cc.piecewise_uniform_sd([(0.0, 1.0, 1.0), (2.0, 3.0, 1.0)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SDS))
+    def test_generic_route_matches_every_node(self, name, monkeypatch):
+        m = cc.measure_from_sd(self.SDS[name](), 0.0)
+        assert len(m.discretize(9)[0]) < len(_discretize_every_node(m, 9)[0])
+        merged = cc.recurrence_coefficients(m, 200, method="stieltjes")
+        monkeypatch.setattr(Measure, "discretize", _discretize_every_node)
+        full = cc.recurrence_coefficients(m, 200, method="stieltjes")
+        np.testing.assert_allclose(merged.alpha, full.alpha, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(merged.beta, full.beta, rtol=1e-14, atol=0)
 
 
 class TestPolynomialEvaluation:

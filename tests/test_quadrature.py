@@ -25,6 +25,8 @@ class TestNestedLevels:
         assert len(pw) - carried.sum() <= 4
 
     def test_integrand_sees_only_new_nodes(self):
+        # once per distinct position: next to the nonzero ends nodes round
+        # onto the same double
         seen = []
 
         def f(x):
@@ -34,9 +36,12 @@ class TestNestedLevels:
         _, ok = quadrature.integrate(f, -1.0, 2.0)
         assert ok
         levels = range(quadrature.MIN_LEVEL, quadrature.MIN_LEVEL + len(seen))
-        expect = [len(quadrature.nodes(quadrature.MIN_LEVEL)[2])] + [
-            quadrature.refinement(lv)[2].sum() for lv in levels[1:]]
+        x = quadrature.map_nodes(levels[0], -1.0, 2.0)[0]
+        expect = [len(np.unique(x))] + [
+            len(np.unique(quadrature.map_nodes(lv, -1.0, 2.0)[0][
+                quadrature.refinement(lv)[2]])) for lv in levels[1:]]
         assert seen == expect
+        assert expect[0] < len(x)
 
 
 class TestMappedNodes:
@@ -49,6 +54,53 @@ class TestMappedNodes:
         x = quadrature.map_nodes(level, a, b)[0]
         assert np.all(np.diff(x) >= 0.0)
         assert a <= x[0] and x[-1] <= b
+
+
+class TestMergedNodes:
+    INTERVALS = [(0.3, 1.6), (0.0, 1.0)]
+
+    @staticmethod
+    def _subsets(level, a, b):
+        """Each level's full node set and the subset it adds."""
+        x, _, _, w = quadrature.map_nodes(level, a, b)
+        new = quadrature.refinement(level)[2]
+        return [(x, w), (x[new], w[new])]
+
+    @pytest.mark.parametrize("level", range(3, quadrature.MAX_LEVEL + 1))
+    @pytest.mark.parametrize("a, b", INTERVALS)
+    def test_positions_strictly_increasing_weights_kept(self, level, a, b):
+        for x, w in self._subsets(level, a, b):
+            pos, summed, index = quadrature.merge_nodes(x, w)
+            assert np.all(np.diff(pos) > 0.0)
+            assert np.array_equal(pos[index], x)
+            assert abs(summed.sum() - w.sum()) <= 4 * np.spacing(w.sum())
+
+    @pytest.mark.parametrize("level", range(3, quadrature.MAX_LEVEL + 1))
+    def test_nothing_merges_at_a_zero_endpoint(self, level):
+        for x, w in self._subsets(level, 0.0, 1.0):
+            pos = quadrature.merge_nodes(x, w)[0]
+            assert np.sum(pos < 0.5) == np.sum(x < 0.5)
+        # the nonzero end of the same interval does merge
+        x, w = self._subsets(level, 0.0, 1.0)[0]
+        assert len(quadrature.merge_nodes(x, w)[0]) < len(x)
+
+    # elementwise integrands: one value per position, whichever node asks
+    FUNCS = {
+        "scalar": lambda x: np.exp(-x * x) * np.sin(40 * x) ** 2 + x**-0.5,
+        "vector": lambda x: np.array([np.cos(x), np.log(x) * x**3,
+                                      (x - 0.5) ** 3 / np.sqrt(x)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FUNCS))
+    @pytest.mark.parametrize("a, b", INTERVALS)
+    def test_integrate_matches_every_node_bit_for_bit(self, name, a, b):
+        f = self.FUNCS[name]
+        got = quadrature.integrate(f, a, b, rel_tol=1e-14)
+        # with distances f is called on every node, coinciding ones included
+        want = quadrature.integrate(lambda x, da, db: f(x), a, b, rel_tol=1e-14,
+                                    with_distances=True)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
 
 
 class TestClosedForms:

@@ -308,8 +308,31 @@ class TestRowRefinement:
     def test_flat_measure_converges_at_the_first_comparison(self, pv_calls):
         m = cc.measure_from_sd(cc.piecewise_uniform_sd([(0.1, 1.7, 0.8)]), 0.0)
         cc.reducer(m, np.linspace(*stieltjes.evaluation_band(m), 2048))
-        # all 97 nodes of level 3, then the 96 that level 4 adds
-        assert pv_calls == [(2048, 97), (2048, 96)]
+        # the distinct positions of level 3, then of the nodes level 4 adds
+        t3 = quadrature.map_nodes(3, 0.1, 1.7)[0]
+        t4 = quadrature.map_nodes(4, 0.1, 1.7)[0][quadrature.refinement(4)[2]]
+        assert pv_calls == [(2048, len(np.unique(t3))), (2048, len(np.unique(t4)))]
+
+    def test_report_hands_distinct_rows_and_columns(self, monkeypatch):
+        # the q = 1 report integrates J_n next to the nonzero end b**2, where
+        # tanh-sinh nodes round onto the same double: each position is one row
+        rows, cols = [], []
+        route, kernel = stieltjes._reducer_lipschitz, stieltjes._pv_sums
+
+        def lipschitz(m, x):
+            rows.append(x)
+            return route(m, x)
+
+        def pv_sums(m, x, mu_x, delta, t, *args):
+            cols.append(t)
+            return kernel(m, x, mu_x, delta, t, *args)
+
+        monkeypatch.setattr(stieltjes, "_reducer_lipschitz", lipschitz)
+        monkeypatch.setattr(stieltjes, "_pv_sums", pv_sums)
+        cc.convergence_report(_familyless_semicircle(0.0, 1.3, 0.7), 1.0, 6)
+        assert rows and cols
+        for x in rows + cols:
+            assert np.all(np.diff(x) > 0.0)
 
     def test_only_unconverged_rows_refine(self, pv_calls, caplog):
         m = cc.measure_from_sd(_familyless_semicircle(0.3, 2.1, 0.7), 0.0)
@@ -325,7 +348,7 @@ class TestRowRefinement:
         records = [r for r in caplog.records if r.name == "chaincast.stieltjes"]
         assert len(records) == 1
         # the rows still open after the last level are among those it ran
-        missed = re.search(r"on (\d+) of 4096 points", records[0].getMessage())
+        missed = re.search(r"on (\d+) of 4096 distinct points", records[0].getMessage())
         assert 0 < int(missed.group(1)) <= pv_rows[-1]
 
     ORACLE = {
@@ -408,7 +431,7 @@ class TestRowRefinement:
 
 def _unconverged_rows(caplog) -> int:
     """Rows the Lipschitz reducer's warning reports as unconverged."""
-    found = [re.search(r"on (\d+) of \d+ points", r.getMessage())
+    found = [re.search(r"on (\d+) of \d+ distinct points", r.getMessage())
              for r in caplog.records if r.name == "chaincast.stieltjes"]
     return sum(int(f.group(1)) for f in found if f)
 
