@@ -353,7 +353,7 @@ class Measure(_Supported):
         xs, ws = [], []
         for lo, hi in self._effective_intervals(poly_degree):
             x, _, _, w = quadrature.map_nodes(level, lo, hi)
-            x, w, _ = quadrature.merge_nodes(x, w)
+            x, w = quadrature.merge_nodes(x, w)
             xs.append(x)
             ws.append(w * self.weight(x))
         for pm in self.point_masses:

@@ -118,17 +118,21 @@ def map_nodes(level: int, a: float, b: float):
     return x, da, db, w * half
 
 
-def merge_nodes(x: np.ndarray, w: np.ndarray):
-    """Merge equal consecutive positions of the sorted nodes ``x``:
-    ``(positions, weights, index)``, the distinct positions in order, the
-    summed weights of the nodes at each, and for every node the index of
-    its position.  ``values[..., index]`` spreads values at the positions
-    back over the nodes.
-    """
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """Mask of the first node at each position of the sorted nodes ``x``."""
     step = np.empty(len(x), bool)
     step[:1] = True
     np.not_equal(x[1:], x[:-1], out=step[1:])
-    return x[step], np.add.reduceat(w, np.flatnonzero(step)), np.cumsum(step) - 1
+    return step
+
+
+def merge_nodes(x: np.ndarray, w: np.ndarray):
+    """Merge equal consecutive positions of the sorted nodes ``x``:
+    ``(positions, weights)``, the distinct positions in order and the
+    summed weights of the nodes at each.
+    """
+    step = _distinct(x)
+    return x[step], np.add.reduceat(w, np.flatnonzero(step))
 
 
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
@@ -139,8 +143,8 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     integrals (odd moments of symmetric weights) from chasing their roundoff.
 
     Each level calls f once per distinct position of the nodes it adds
-    (``refinement``, ``merge_nodes``) and spreads the values back over the
-    nodes, so the sums are the same as with f called on every node; with
+    (``refinement``) and spreads the values back over the nodes, so the
+    sums are the same as with f called on every node; with
     ``with_distances`` the distances tell coinciding nodes apart and f sees
     every node.  f may return shape ``(..., nodes)``: the value then has
     shape ``(...)`` and each component keeps the level at which it
@@ -154,21 +158,21 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     if not b > a:
         return 0.0, True
 
-    def call(x, da, db, w):
+    def call(x, da, db):
         if with_distances:
             return np.asarray(f(x, da, db))
-        pos, _, index = merge_nodes(x, w)
-        return np.asarray(f(pos))[..., index]
+        step = _distinct(x)
+        return np.asarray(f(x[step]))[..., np.cumsum(step) - 1]
 
     x, da, db, w = map_nodes(MIN_LEVEL, a, b)
-    vals = call(x, da, db, w)
+    vals = call(x, da, db)
     prev = np.sum(vals * w, axis=-1)
     value = prev
     done = np.zeros(np.shape(prev), bool)
     for level in range(MIN_LEVEL + 1, MAX_LEVEL + 1):
         x, da, db, w = map_nodes(level, a, b)
         old, carried, new = refinement(level)
-        fresh = call(x[new], da[new], db[new], w[new])
+        fresh = call(x[new], da[new], db[new])
         full = np.empty(vals.shape[:-1] + w.shape, np.result_type(vals, fresh))
         full[..., old] = vals[..., carried]
         full[..., new] = fresh

@@ -165,7 +165,7 @@ def _columns(level: int, a: float, b: float, whole: bool):
     if not whole:
         new = quadrature.refinement(level)[2]
         t, w = t[new], w[new]
-    return quadrature.merge_nodes(t, w)[:2]
+    return quadrature.merge_nodes(t, w)
 
 
 def _first_level(m: Measure) -> int:

@@ -168,6 +168,36 @@ class TestRecurrenceCoefficients:
         np.testing.assert_allclose(rc_scaled.beta[1:], rc.beta[1:], rtol=1e-10)
         assert rc_scaled.beta[0] == pytest.approx(c * rc.beta[0], rel=1e-10)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
+    def test_sweep_does_not_depend_on_weight_scale(self, c):
+        m = cc.power_law_measure(1.0, 0.5, 1.0)
+        rc = cc.recurrence_coefficients(m, 200, method="stieltjes")
+        rc_scaled = cc.recurrence_coefficients(scale_mass(m, c), 200,
+                                               method="stieltjes")
+        # the support is [0, 1], so its span is 1
+        np.testing.assert_allclose(rc_scaled.alpha, rc.alpha, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rc_scaled.beta[1:], rc.beta[1:], rtol=1e-14, atol=0)
+        assert rc_scaled.beta[0] == pytest.approx(c * rc.beta[0], rel=1e-14)
+
+    @settings(deadline=None, max_examples=20, derandomize=True)
+    @given(data=st.data())
+    def test_discrete_measure_round_trip(self, data):
+        # k atoms inside (0.05, 0.95), at least 0.3 / (k + 1) apart
+        k = data.draw(st.integers(1, 12))
+        gaps = np.array(data.draw(st.lists(st.floats(0.5, 1.5),
+                                           min_size=k + 1, max_size=k + 1)))
+        atoms = 0.05 + 0.9 * np.cumsum(gaps)[:-1] / gaps.sum()
+        masses = np.array(data.draw(st.lists(st.floats(0.1, 10.0),
+                                             min_size=k, max_size=k)))
+        m = cc.Measure(lambda x: np.zeros_like(np.asarray(x, float)), ((0.0, 1.0),),
+                       point_masses=tuple(cc.PointMass(float(x), float(mass))
+                                          for x, mass in zip(atoms, masses)))
+        nodes, weights = gauss_rule(cc.recurrence_coefficients(m, k, method="stieltjes"), k)
+        np.testing.assert_allclose(nodes, atoms, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights, masses, rtol=1e-12, atol=0)
+        with pytest.raises(cc.IllConditioned):
+            cc.recurrence_coefficients(m, k + 1, method="stieltjes")
+
     def test_order_cap(self, weight_x):
         with pytest.raises(IndexOutOfRange):
             cc.recurrence_coefficients(weight_x, 500)
