@@ -19,7 +19,7 @@ The config is a JSON object (unknown keys rejected):
 spectral_density families: "power_law" and "power_law_exp_cutoff" take
 (s, alpha, omega_c); "tabulated" takes samples_path (CSV rows omega,J with
 strictly increasing omega); "piecewise" takes intervals [[lo, hi, height],
-...] and may be gapped.
+...] and may be gapped.  sites is at most orthopoly.MAX_ORDER - 1 = 199.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 unsupported
 request (residual densities of a gapped measure, or 0 < q < 1, or a
@@ -58,6 +58,7 @@ from .measures import (
     power_law_sd,
     tabulated_sd,
 )
+from .orthopoly import MAX_ORDER
 from .residual import ResidualDensity
 from .stieltjes import find_gap_zero
 
@@ -191,7 +192,9 @@ def validate(path: str | Path, q_override: float | None = None,
 
     sites = _number(raw.get("sites", 50) if sites_override is None else sites_override,
                     "sites", integer=True)
-    _require(sites >= 1, "sites", "must be a positive integer")
+    _require(1 <= sites < MAX_ORDER, "sites",
+             f"must be an integer in 1..{MAX_ORDER - 1}: a chain of N sites "
+             f"needs N + 1 recurrence orders, at most {MAX_ORDER}")
 
     orders_raw = raw.get("residual_orders", [])
     _require(isinstance(orders_raw, list), "residual_orders", "must be a list")
@@ -292,10 +295,6 @@ def run(config: JobConfig) -> int:
     residual_columns: dict[int, np.ndarray] = {}
     positive_orders = [n for n in config.residual_orders if n > 0]
     if positive_orders:
-        if config.mapping_q not in (0.0, 1.0):
-            print("unsupported: residual densities need q in {0, 1}",
-                  file=sys.stderr)
-            return EXIT_UNSUPPORTED
         if not config.sd.gapless:
             # Unsupported whether or not the zero can be located.
             try:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .errors import IllConditioned, IndexOutOfRange
 from .measures import Measure
 
@@ -135,7 +136,7 @@ def _generic_coefficients(m: Measure, n: int) -> RecurrenceCoefficients:
 
     rel_tol = 1e-12
     prev = None
-    for level in range(7, 12):
+    for level in range(quadrature.MIN_LEVEL + 1, quadrature.MAX_LEVEL + 1):
         x, w = m.discretize(level, poly_degree)
         a, b = _stieltjes_sweep((x - shift) / scale, w, n)
         alpha = a * scale + shift

@@ -13,12 +13,13 @@ than by their positions alone; this keeps ``x - a`` accurate down to
 weights evaluate cleanly.
 
 The levels are nested (Bailey, Jeyabalan & Li, Exp. Math. 14 (2005) 317):
-halving the step keeps every node of the previous level and adds the odd
-ones between them, so ``integrate`` calls its integrand once per distinct
-position of the nodes each level adds and reuses the values it already
-has.  The integrand may return an array of shape ``(..., nodes)``; every
-component then converges on its own, exactly as if it had been integrated
-alone.
+the even-k nodes of a level are the nodes of the previous level at half
+the weights, so a level's sum is half the previous sum plus the sum over
+the odd-k nodes it adds (``map_nodes(..., added=True)``).  ``integrate``
+and the Lipschitz reducer both refine by that rule, and each calls its
+integrand only at the nodes a level adds.  The integrand may return an
+array of shape ``(..., nodes)``; every component then converges on its
+own, exactly as if it had been integrated alone.
 
 Next to a nonzero endpoint the nodes cluster closer than the spacing of
 doubles there, so about half of each level rounds onto a few positions
@@ -26,8 +27,7 @@ doubles there, so about half of each level rounds onto a few positions
 them; every consumer that reads positions only evaluates each one once.
 
 All reductions are plain ``np.sum`` over a fixed node ordering, so repeated
-runs are bit-identical, and the reused values make each level's sum the
-same as evaluating every node afresh.
+runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ import numpy as np
 from .errors import DivergentMoment
 
 __all__ = [
-    "nodes",
-    "refinement",
     "merge_nodes",
     "integrate",
     "tail_cutoff",
@@ -54,12 +52,17 @@ MAX_LEVEL = 11
 # |t| beyond ~6.1 gives weights below 1e-290 in double precision.
 _TMAX = 6.1
 
-_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_refine_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def _rule(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(k, dist_left, dist_right, weights)``; node k sits at t = k * 2**-level."""
+    """Tanh-sinh nodes on (-1, 1) at the given level: ``(k, dist_left,
+    dist_right, weights)``, node k sitting at t = k * 2**-level with its
+    distances from -1 and +1 computed without cancellation.  The kept k
+    are consecutive."""
+    cached = _cache.get(level)
+    if cached is not None:
+        return cached
     h = 1.0 / 2**level
     k = np.arange(-int(_TMAX / h), int(_TMAX / h) + 1)
     t = k * h
@@ -69,48 +72,23 @@ def _rule(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     dist_left = 2.0 / (np.expm1(-2.0 * v) + 2.0)
     w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(v) ** 2
     keep = (w > 1e-290) & (dist_right > 1e-290) & (dist_left > 1e-290)
-    return k[keep], dist_left[keep], dist_right[keep], w[keep]
-
-
-def nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tanh-sinh nodes on (-1, 1) at the given level.
-
-    Returns ``(dist_left, dist_right, weights)`` where ``dist_left[k]`` is the
-    distance of node k from -1 and ``dist_right[k]`` its distance from +1,
-    both computed without cancellation.
-    """
-    cached = _cache.get(level)
-    if cached is None:
-        cached = _cache[level] = _rule(level)[1:]
+    cached = _cache[level] = k[keep], dist_left[keep], dist_right[keep], w[keep]
     return cached
 
 
-def refinement(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """How the rule at ``level`` extends the rule at ``level - 1``, as
-    boolean masks ``(old, carried, new)``.
-
-    The nodes ``old`` selects from this level are, in order, the nodes
-    ``carried`` selects from the previous one (same positions, half the
-    weights, to the bit); ``new`` selects the nodes this level adds.  The
-    weight cut-off drops a few outermost previous nodes, so ``carried``
-    need not select the whole previous level.
-    """
-    cached = _refine_cache.get(level)
-    if cached is None:
-        k = _rule(level)[0]
-        k_prev = _rule(level - 1)[0]
-        old = (k % 2 == 0) & np.isin(k // 2, k_prev)
-        cached = _refine_cache[level] = (old, np.isin(k_prev, k[old] // 2), ~old)
-    return cached
-
-
-def map_nodes(level: int, a: float, b: float):
+def map_nodes(level: int, a: float, b: float, added: bool = False):
     """Nodes of the rule mapped to [a, b]: ``(x, dist_a, dist_b, weights)``.
 
     Weights include the interval scaling; ``sum(w * f(x))`` approximates
-    the integral of f over [a, b].
+    the integral of f over [a, b].  With ``added`` only the nodes the level
+    adds to ``level - 1``, those at odd k: half the previous level's sum
+    plus their sum is the level's sum, up to the few outermost previous
+    nodes whose halved weights fall below the cut-off.
     """
-    dl, dr, w = nodes(level)
+    k, dl, dr, w = _rule(level)
+    if added:
+        odd = slice(1 - k[0] % 2, None, 2)
+        dl, dr, w = dl[odd], dr[odd], w[odd]
     half = 0.5 * (b - a)
     da = half * dl
     db = half * dr
@@ -142,14 +120,15 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     proportional to the integrand's L1 mass keeps exactly-cancelling
     integrals (odd moments of symmetric weights) from chasing their roundoff.
 
-    Each level calls f once per distinct position of the nodes it adds
-    (``refinement``) and spreads the values back over the nodes, so the
-    sums are the same as with f called on every node; with
-    ``with_distances`` the distances tell coinciding nodes apart and f sees
-    every node.  f may return shape ``(..., nodes)``: the value then has
-    shape ``(...)`` and each component keeps the level at which it
-    converged, so one call gives the same numbers as one scalar call per
-    component.
+    Each level's sum and L1 sum are half the previous level's plus the sums
+    over the nodes it adds (``map_nodes(..., added=True)``), so f sees only
+    those.  f is called once per distinct position and the values are
+    spread back over the nodes, so the sums are the same as with f called
+    on every node; with ``with_distances`` the distances tell coinciding
+    nodes apart and f sees every node.  f may return shape
+    ``(..., nodes)``: the value then has shape ``(...)`` and each component
+    keeps the level at which it converged, so one call gives the same
+    numbers as one scalar call per component.
 
     Returns ``(value, converged)``, ``converged`` being true when every
     component converged; the caller decides whether a non-converged result
@@ -158,34 +137,32 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     if not b > a:
         return 0.0, True
 
-    def call(x, da, db):
+    def sums(level, added):
+        """Sum and L1 sum over the level's nodes, or those it adds."""
+        x, da, db, w = map_nodes(level, a, b, added)
         if with_distances:
-            return np.asarray(f(x, da, db))
-        step = _distinct(x)
-        return np.asarray(f(x[step]))[..., np.cumsum(step) - 1]
+            vals = np.asarray(f(x, da, db))
+        else:
+            step = _distinct(x)
+            # np.take keeps the rows C-contiguous, so a component sums as
+            # it would alone
+            vals = np.take(np.asarray(f(x[step])), np.cumsum(step) - 1, axis=-1)
+        return np.sum(vals * w, axis=-1), np.sum(np.abs(vals) * w, axis=-1)
 
-    x, da, db, w = map_nodes(MIN_LEVEL, a, b)
-    vals = call(x, da, db)
-    prev = np.sum(vals * w, axis=-1)
-    value = prev
-    done = np.zeros(np.shape(prev), bool)
+    cur, l1 = sums(MIN_LEVEL, False)
+    value = cur
+    done = np.zeros(np.shape(cur), bool)
     for level in range(MIN_LEVEL + 1, MAX_LEVEL + 1):
-        x, da, db, w = map_nodes(level, a, b)
-        old, carried, new = refinement(level)
-        fresh = call(x[new], da[new], db[new])
-        full = np.empty(vals.shape[:-1] + w.shape, np.result_type(vals, fresh))
-        full[..., old] = vals[..., carried]
-        full[..., new] = fresh
-        vals = full
-        cur = np.sum(vals * w, axis=-1)
-        l1 = np.sum(np.abs(vals) * w, axis=-1)
+        prev = cur
+        part, part_l1 = sums(level, True)
+        cur = 0.5 * prev + part
+        l1 = 0.5 * l1 + part_l1
         ok = ~done & (np.abs(cur - prev) <= rel_tol * np.abs(cur) + 1e-15 * l1 + 1e-300)
         value = np.where(ok, cur, value)
         done |= ok
         if done.all():
             return value[()], True
-        prev = cur
-    return np.where(done, value, prev)[()], False
+    return np.where(done, value, cur)[()], False
 
 
 def tail_cutoff(rate: float, power: float, stretch: float) -> float:

@@ -161,10 +161,7 @@ def _columns(level: int, a: float, b: float, whole: bool):
     """Distinct positions and summed weights of the tanh-sinh nodes on
     [a, b] at ``level``: all of them if ``whole``, else those the level
     adds.  Sorted, as ``_pv_sums`` needs."""
-    t, _, _, w = quadrature.map_nodes(level, a, b)
-    if not whole:
-        new = quadrature.refinement(level)[2]
-        t, w = t[new], w[new]
+    t, _, _, w = quadrature.map_nodes(level, a, b, added=not whole)
     return quadrature.merge_nodes(t, w)
 
 

@@ -92,6 +92,27 @@ class TestValidate:
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) \
             == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("how", ["config", "override"])
+    def test_sites_beyond_the_order_limit_exit_2(self, tmp_path, capsys, how):
+        # chain_coefficients asks for sites + 1 recurrence orders, at most
+        # orthopoly.MAX_ORDER = 200
+        if how == "config":
+            argv = ["--config", ohmic_config(tmp_path, sites=200)]
+        else:
+            argv = ["--config", ohmic_config(tmp_path), "--sites", "200"]
+        for command in ("validate", "run"):
+            assert cli.main([command, *argv]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "config error: sites: " in err and "1..199" in err
+        assert not (tmp_path / "chain.csv").exists()
+
+    def test_sites_at_the_order_limit_run(self, tmp_path):
+        path = ohmic_config(tmp_path, residual_orders=[])
+        assert cli.main(["run", "--config", path, "--sites", "199"]) == cli.EXIT_OK
+        with open(tmp_path / "chain.csv") as fh:
+            fh.readline()
+            assert len(list(csv.DictReader(fh))) == 199
+
     def test_overrides(self, tmp_path):
         path = ohmic_config(tmp_path)
         config = cli.validate(path, q_override=1.0, sites_override=7,

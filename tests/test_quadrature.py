@@ -9,20 +9,51 @@ from chaincast import quadrature, stieltjes
 
 
 class TestNestedLevels:
-    @pytest.mark.parametrize("level", range(quadrature.MIN_LEVEL + 1,
+    @pytest.mark.parametrize("level", range(stieltjes.PV_MIN_LEVEL + 1,
                                             quadrature.MAX_LEVEL + 1))
     def test_level_keeps_previous_nodes(self, level):
-        old, carried, new = quadrature.refinement(level)
-        dl, dr, w = quadrature.nodes(level)
-        pdl, pdr, pw = quadrature.nodes(level - 1)
-        assert np.array_equal(dl[old], pdl[carried])
-        assert np.array_equal(dr[old], pdr[carried])
-        assert np.array_equal(w[old], 0.5 * pw[carried])
-        assert np.array_equal(new, ~old)
-        assert new.sum() >= len(w) // 2
-        # only a few outermost nodes of the previous level fall below the
-        # weight cut-off
-        assert len(pw) - carried.sum() <= 4
+        # the premise of the halving rule: the even-k nodes of a level are
+        # the previous level's, at half the weights, and the odd k are what
+        # map_nodes(added=True) gives
+        k, dl, dr, w = quadrature._rule(level)
+        pk, pdl, pdr, pw = quadrature._rule(level - 1)
+        assert np.all(np.diff(k) == 1) and np.all(np.diff(pk) == 1)
+        even = k % 2 == 0
+        kept = np.isin(pk, k[even] // 2)
+        assert np.array_equal(k[even] // 2, pk[kept])
+        assert np.array_equal(dl[even], pdl[kept])
+        assert np.array_equal(dr[even], pdr[kept])
+        assert np.array_equal(w[even], 0.5 * pw[kept])
+        _, da, db, wa = quadrature.map_nodes(level, -1.0, 1.0, added=True)
+        assert np.array_equal(da, dl[~even])
+        assert np.array_equal(db, dr[~even])
+        assert np.array_equal(wa, w[~even])
+        # the weight cut-off drops at most 4 outermost previous nodes, and
+        # only below the last level's
+        dropped = len(pk) - kept.sum()
+        assert np.all(np.diff(np.flatnonzero(kept)) == 1)
+        assert dropped <= 4
+        assert dropped == 0 or level == quadrature.MAX_LEVEL
+
+    FUNCS = {
+        "real": lambda x: np.exp(-x * x) * np.sin(40 * x) ** 2 + x**-0.5,
+        "complex": lambda x: np.exp(5j * x) / (1.2 + 0.1j - x),
+    }
+
+    @pytest.mark.parametrize("level", range(quadrature.MIN_LEVEL + 1,
+                                            quadrature.MAX_LEVEL + 1))
+    @pytest.mark.parametrize("name", sorted(FUNCS))
+    def test_half_previous_plus_added_is_the_level_sum(self, level, name):
+        f = self.FUNCS[name]
+        a, b = 0.3, 1.6
+
+        def total(**kw):
+            x, _, _, w = quadrature.map_nodes(**kw, a=a, b=b)
+            return np.sum(f(x) * w), np.sum(np.abs(f(x)) * w)
+
+        full, l1 = total(level=level)
+        halved = 0.5 * total(level=level - 1)[0] + total(level=level, added=True)[0]
+        assert abs(halved - full) <= 4 * np.spacing(l1)
 
     def test_integrand_sees_only_new_nodes(self):
         # once per distinct position: next to the nonzero ends nodes round
@@ -36,12 +67,11 @@ class TestNestedLevels:
         _, ok = quadrature.integrate(f, -1.0, 2.0)
         assert ok
         levels = range(quadrature.MIN_LEVEL, quadrature.MIN_LEVEL + len(seen))
-        x = quadrature.map_nodes(levels[0], -1.0, 2.0)[0]
-        expect = [len(np.unique(x))] + [
-            len(np.unique(quadrature.map_nodes(lv, -1.0, 2.0)[0][
-                quadrature.refinement(lv)[2]])) for lv in levels[1:]]
+        expect = [len(np.unique(quadrature.map_nodes(lv, -1.0, 2.0,
+                                                     added=lv > levels[0])[0]))
+                  for lv in levels]
         assert seen == expect
-        assert expect[0] < len(x)
+        assert expect[0] < len(quadrature.map_nodes(levels[0], -1.0, 2.0)[0])
 
 
 class TestMappedNodes:
@@ -62,9 +92,11 @@ class TestMergedNodes:
     @staticmethod
     def _subsets(level, a, b):
         """Each level's full node set and the subset it adds."""
-        x, _, _, w = quadrature.map_nodes(level, a, b)
-        new = quadrature.refinement(level)[2]
-        return [(x, w), (x[new], w[new])]
+        subsets = []
+        for added in (False, True):
+            x, _, _, w = quadrature.map_nodes(level, a, b, added)
+            subsets.append((x, w))
+        return subsets
 
     @pytest.mark.parametrize("level", range(3, quadrature.MAX_LEVEL + 1))
     @pytest.mark.parametrize("a, b", INTERVALS)

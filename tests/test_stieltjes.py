@@ -310,7 +310,7 @@ class TestRowRefinement:
         cc.reducer(m, np.linspace(*stieltjes.evaluation_band(m), 2048))
         # the distinct positions of level 3, then of the nodes level 4 adds
         t3 = quadrature.map_nodes(3, 0.1, 1.7)[0]
-        t4 = quadrature.map_nodes(4, 0.1, 1.7)[0][quadrature.refinement(4)[2]]
+        t4 = quadrature.map_nodes(4, 0.1, 1.7, added=True)[0]
         assert pv_calls == [(2048, len(np.unique(t3))), (2048, len(np.unique(t4)))]
 
     def test_report_hands_distinct_rows_and_columns(self, monkeypatch):
@@ -506,10 +506,8 @@ class TestPvKernel:
     def test_matches_dense_masks(self, name, level):
         m = self.MEASURES[name]()
         a, b = m.hull
-        t, _, _, w = quadrature.map_nodes(level, a, b)
-        if level > stieltjes.PV_MIN_LEVEL:
-            new = quadrature.refinement(level)[2]
-            t, w = t[new], w[new]
+        t, _, _, w = quadrature.map_nodes(level, a, b,
+                                          added=level > stieltjes.PV_MIN_LEVEL)
         mu_t = np.asarray(m.weight(t), float)
         for kind, x in self._rows(m, t).items():
             delta = stieltjes.PV_BAND_FRACTION * np.minimum(x - a, b - x)
