@@ -19,7 +19,8 @@ The config is a JSON object (unknown keys rejected):
 spectral_density families: "power_law" and "power_law_exp_cutoff" take
 (s, alpha, omega_c); "tabulated" takes samples_path (CSV rows omega,J with
 strictly increasing omega); "piecewise" takes intervals [[lo, hi, height],
-...] and may be gapped.  sites is at most orthopoly.MAX_ORDER - 1 = 199.
+...] and may be gapped.  sites and each residual order are at most
+orthopoly.MAX_ORDER - 1 = 199.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 unsupported
 request (residual densities of a gapped measure, or 0 < q < 1, or a
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,15 +96,18 @@ def _require(cond: bool, fld: str, reason: str) -> None:
 
 def _number(val, fld: str, integer: bool = False):
     """val as a float, or as an int for an integer field.  Strings that
-    parse as numbers pass (CSV cells are strings); bools, null and other
-    strings raise ConfigError naming fld, and so does a non-integral value
+    parse as numbers pass (CSV cells are strings); bools, null, other
+    strings and non-finite values (JSON Infinity, NaN or 1e400, cells inf
+    or nan) raise ConfigError naming fld, and so does a non-integral value
     of an integer field."""
     try:
         num = None if isinstance(val, bool) else float(val)
     except (TypeError, ValueError):
         num = None
-    _require(num is not None and (num.is_integer() or not integer), fld,
-             f"must be {'an integer' if integer else 'a number'}, got {val!r}")
+    _require(num is not None and math.isfinite(num)
+             and (num.is_integer() or not integer), fld,
+             f"must be {'an integer' if integer else 'a finite number'}, "
+             f"got {val!r}")
     return int(num) if integer else num
 
 
@@ -201,7 +206,9 @@ def validate(path: str | Path, q_override: float | None = None,
     orders = []
     for i, val in enumerate(orders_raw):
         val = _number(val, f"residual_orders[{i}]", integer=True)
-        _require(val >= 0, f"residual_orders[{i}]", "must be a nonnegative integer")
+        _require(0 <= val < MAX_ORDER, f"residual_orders[{i}]",
+                 f"must be an integer in 0..{MAX_ORDER - 1}: J_n needs n + 1 "
+                 f"recurrence orders, at most {MAX_ORDER}")
         orders.append(val)
     if orders:
         _require(q in (0.0, 1.0), "residual_orders",

@@ -347,13 +347,12 @@ class Measure(_Supported):
     def discretize(self, level: int, poly_degree: int = 0):
         """Dense quadrature discretization (x, w) of the continuous part,
         point masses appended; basis of the generic recurrence path.  On
-        each support interval the positions are distinct and increasing:
-        tanh-sinh nodes that round onto one double are merged, their
-        weights summed (``quadrature.merge_nodes``)."""
+        each support interval the positions are distinct and increasing,
+        each with the summed weight of the tanh-sinh nodes that round onto
+        it (``quadrature.map_nodes``)."""
         xs, ws = [], []
         for lo, hi in self._effective_intervals(poly_degree):
-            x, _, _, w = quadrature.map_nodes(level, lo, hi)
-            x, w = quadrature.merge_nodes(x, w)
+            x, w = quadrature.map_nodes(level, lo, hi)
             xs.append(x)
             ws.append(w * self.weight(x))
         for pm in self.point_masses:

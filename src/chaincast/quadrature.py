@@ -7,10 +7,10 @@ nodes double-exponentially at both endpoints, so integrable algebraic
 (``x**s``, ``s > -1``) and logarithmic endpoint singularities converge
 geometrically without per-family substitutions.
 
-Nodes are represented by their *distances* to the two endpoints rather
-than by their positions alone; this keeps ``x - a`` accurate down to
+Nodes carry their *distances* to the two endpoints besides their
+positions (``_every_node``); this keeps ``x - a`` accurate down to
 ~1e-290 of the interval width, which is what makes endpoint-singular
-weights evaluate cleanly.
+integrands of the distances evaluate cleanly.
 
 The levels are nested (Bailey, Jeyabalan & Li, Exp. Math. 14 (2005) 317):
 the even-k nodes of a level are the nodes of the previous level at half
@@ -23,11 +23,14 @@ own, exactly as if it had been integrated alone.
 
 Next to a nonzero endpoint the nodes cluster closer than the spacing of
 doubles there, so about half of each level rounds onto a few positions
-(level 6 on [0.3, 1.6]: 775 nodes, 407 positions).  ``merge_nodes`` folds
-them; every consumer that reads positions only evaluates each one once.
+(level 6 on [0.3, 1.6]: 775 nodes, 407 positions).  ``map_nodes`` gives
+each distinct position once with the summed weight of its nodes, so every
+consumer that reads positions only evaluates each one once; only
+``integrate(..., with_distances=True)`` sees every node, since the
+distances tell coinciding nodes apart.
 
-All reductions are plain ``np.sum`` over a fixed node ordering, so repeated
-runs are bit-identical.
+All reductions (``np.sum``, and ``np.add.reduceat`` for the merged weights)
+run over a fixed node ordering, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import numpy as np
 from .errors import DivergentMoment
 
 __all__ = [
-    "merge_nodes",
     "integrate",
     "tail_cutoff",
 ]
@@ -76,8 +78,9 @@ def _rule(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return cached
 
 
-def map_nodes(level: int, a: float, b: float, added: bool = False):
-    """Nodes of the rule mapped to [a, b]: ``(x, dist_a, dist_b, weights)``.
+def _every_node(level: int, a: float, b: float, added: bool = False):
+    """Every node of the rule mapped to [a, b], coinciding positions
+    included: ``(x, dist_a, dist_b, weights)``, x non-decreasing.
 
     Weights include the interval scaling; ``sum(w * f(x))`` approximates
     the integral of f over [a, b].  With ``added`` only the nodes the level
@@ -96,21 +99,15 @@ def map_nodes(level: int, a: float, b: float, added: bool = False):
     return x, da, db, w * half
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """Mask of the first node at each position of the sorted nodes ``x``."""
-    step = np.empty(len(x), bool)
-    step[:1] = True
-    np.not_equal(x[1:], x[:-1], out=step[1:])
-    return step
-
-
-def merge_nodes(x: np.ndarray, w: np.ndarray):
-    """Merge equal consecutive positions of the sorted nodes ``x``:
-    ``(positions, weights)``, the distinct positions in order and the
-    summed weights of the nodes at each.
+def map_nodes(level: int, a: float, b: float, added: bool = False):
+    """Nodes of the rule on [a, b] (with ``added``, those the level adds;
+    see ``_every_node``), merged where they round onto one double:
+    ``(positions, weights)``, the distinct positions in increasing order,
+    each with the summed weight of its nodes.
     """
-    step = _distinct(x)
-    return x[step], np.add.reduceat(w, np.flatnonzero(step))
+    x, _, _, w = _every_node(level, a, b, added)
+    first = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    return x[first], np.add.reduceat(w, first)
 
 
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
@@ -121,14 +118,12 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     integrals (odd moments of symmetric weights) from chasing their roundoff.
 
     Each level's sum and L1 sum are half the previous level's plus the sums
-    over the nodes it adds (``map_nodes(..., added=True)``), so f sees only
-    those.  f is called once per distinct position and the values are
-    spread back over the nodes, so the sums are the same as with f called
-    on every node; with ``with_distances`` the distances tell coinciding
-    nodes apart and f sees every node.  f may return shape
-    ``(..., nodes)``: the value then has shape ``(...)`` and each component
-    keeps the level at which it converged, so one call gives the same
-    numbers as one scalar call per component.
+    over the nodes it adds, so f sees only those, once per distinct position
+    (``map_nodes``); with ``with_distances`` the distances tell coinciding
+    nodes apart and f sees every node.  f may return shape ``(..., nodes)``:
+    the value then has shape ``(...)`` and each component keeps the level
+    at which it converged, so one call gives the same numbers as one scalar
+    call per component.
 
     Returns ``(value, converged)``, ``converged`` being true when every
     component converged; the caller decides whether a non-converged result
@@ -139,14 +134,12 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
 
     def sums(level, added):
         """Sum and L1 sum over the level's nodes, or those it adds."""
-        x, da, db, w = map_nodes(level, a, b, added)
         if with_distances:
+            x, da, db, w = _every_node(level, a, b, added)
             vals = np.asarray(f(x, da, db))
         else:
-            step = _distinct(x)
-            # np.take keeps the rows C-contiguous, so a component sums as
-            # it would alone
-            vals = np.take(np.asarray(f(x[step])), np.cumsum(step) - 1, axis=-1)
+            x, w = map_nodes(level, a, b, added)
+            vals = np.asarray(f(x))
         return np.sum(vals * w, axis=-1), np.sum(np.abs(vals) * w, axis=-1)
 
     cur, l1 = sums(MIN_LEVEL, False)

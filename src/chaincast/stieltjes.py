@@ -157,14 +157,6 @@ def _pv_sums(m: Measure, x, mu_x, delta, t, mu_t, w) -> np.ndarray:
     return out
 
 
-def _columns(level: int, a: float, b: float, whole: bool):
-    """Distinct positions and summed weights of the tanh-sinh nodes on
-    [a, b] at ``level``: all of them if ``whole``, else those the level
-    adds.  Sorted, as ``_pv_sums`` needs."""
-    t, _, _, w = quadrature.map_nodes(level, a, b, added=not whole)
-    return quadrature.merge_nodes(t, w)
-
-
 def _first_level(m: Measure) -> int:
     """First tanh-sinh level of the Lipschitz reducer's rows: the coarsest
     level from PV_MIN_LEVEL whose next level sums mu to PV_REL_TOL of its
@@ -178,7 +170,7 @@ def _first_level(m: Measure) -> int:
     a, b = m.hull
     sums = []
     for level in range(PV_MIN_LEVEL, quadrature.MIN_LEVEL + 2):
-        t, w = _columns(level, a, b, whole=not sums)
+        t, w = quadrature.map_nodes(level, a, b, added=bool(sums))
         part = np.asarray(m.weight(t), float) @ w
         sums.append(0.5 * sums[-1] + part if sums else part)
     for level, s in enumerate(sums[1:-1], PV_MIN_LEVEL):
@@ -204,7 +196,8 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     The integral runs over nested tanh-sinh levels from ``_first_level``:
     each level after the first adds only its new nodes to half the
     previous sum.  The columns t of each level are its distinct positions
-    with summed weights (``_columns``), and callers hand in distinct rows x:
+    with summed weights (``quadrature.map_nodes``), sorted as ``_pv_sums``
+    needs, and callers hand in distinct rows x:
     ``quadrature.integrate`` and the sampling grids evaluate each position
     once.  Rows refine one by one, as the components of
     ``quadrature.integrate`` do: a row whose relative change falls below
@@ -224,7 +217,7 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     active = np.arange(len(x))
     cur = None
     for level in range(_first_level(m), quadrature.MAX_LEVEL + 1):
-        t, w = _columns(level, a, b, whole=cur is None)
+        t, w = quadrature.map_nodes(level, a, b, added=cur is not None)
         part = _pv_sums(m, x[active], mu_x[active], delta[active], t,
                         np.asarray(m.weight(t), float), w)
         if cur is None:

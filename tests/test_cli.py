@@ -80,13 +80,51 @@ class TestValidate:
             "family": "tabulated", "samples_path": "samples.csv"}}),
         ("grid.points", {"grid": {"points": 3.9}}),
         ("residual_orders[0]", {"residual_orders": [True]}),
+        # non-finite numbers: json.dumps writes Infinity and NaN
+        ("spectral_density.alpha", {"spectral_density": {
+            "family": "power_law", "s": 1, "alpha": math.inf}}),
+        ("spectral_density.omega_c", {"spectral_density": {
+            "family": "power_law", "s": 1, "alpha": 0.1, "omega_c": math.inf}}),
+        ("spectral_density.s", {"spectral_density": {
+            "family": "power_law", "s": math.nan, "alpha": 0.1}}),
+        ("spectral_density.intervals[0]", {"spectral_density": {
+            "family": "piecewise", "intervals": [[0, 1, math.inf]]}}),
+        ("mapping_q", {"mapping_q": "nan"}),
+        ("grid.range", {"grid": {"points": 32, "range": [0.1, math.inf]}}),
+        ("sites", {"sites": math.inf}),
     ], ids=["sites-str", "sites-float", "s-str", "mapping_q-null",
-            "intervals-str", "samples-str", "points-float", "orders-bool"])
+            "intervals-str", "samples-str", "points-float", "orders-bool",
+            "alpha-inf", "omega_c-inf", "s-nan", "height-inf",
+            "mapping_q-nan-str", "range-inf", "sites-inf"])
     def test_non_numbers_exit_2(self, tmp_path, capsys, field, overrides):
         (tmp_path / "samples.csv").write_text("0.0,0.0\n0.5,abc\n1.0,1.0\n")
         path = ohmic_config(tmp_path, **overrides)
         assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
         assert f"config error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_sample_cells_exit_2(self, tmp_path, capsys, cell):
+        (tmp_path / "samples.csv").write_text(f"0.0,0.0\n0.5,{cell}\n1.0,1.0\n")
+        path = ohmic_config(tmp_path, spectral_density={
+            "family": "tabulated", "samples_path": "samples.csv"})
+        for command in ("validate", "run"):
+            assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "config error: spectral_density.samples_path: " in err
+            assert "must be a finite number" in err
+        assert not (tmp_path / "chain.csv").exists()
+
+    def test_overflowing_json_number_exit_2(self, tmp_path, capsys):
+        # 1e400 is valid JSON and parses to inf
+        path = Path(ohmic_config(tmp_path))
+        path.write_text(path.read_text().replace('"alpha": 0.1', '"alpha": 1e400'))
+        assert "1e400" in path.read_text()
+        for command in ("validate", "run"):
+            assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "config error: spectral_density.alpha: must be a finite " \
+                "number, got inf" in err
+        assert not (tmp_path / "chain.csv").exists()
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) \
@@ -105,6 +143,17 @@ class TestValidate:
             err = capsys.readouterr().err
             assert "config error: sites: " in err and "1..199" in err
         assert not (tmp_path / "chain.csv").exists()
+
+    def test_residual_order_beyond_the_order_limit_exit_2(self, tmp_path, capsys):
+        # J_n needs n + 1 recurrence orders, at most orthopoly.MAX_ORDER = 200
+        path = ohmic_config(tmp_path, residual_orders=[1, 200])
+        for command in ("validate", "run"):
+            assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "config error: residual_orders[1]: " in err and "0..199" in err
+        assert not any(tmp_path.glob("*.csv"))
+        config = cli.validate(ohmic_config(tmp_path, residual_orders=[1, 199]))
+        assert config.residual_orders == (1, 199)
 
     def test_sites_at_the_order_limit_run(self, tmp_path):
         path = ohmic_config(tmp_path, residual_orders=[])

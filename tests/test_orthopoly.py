@@ -227,7 +227,7 @@ def _discretize_every_node(m, level, poly_degree=0):
     """``Measure.discretize`` without merging nodes that share a position."""
     xs, ws = [], []
     for lo, hi in m._effective_intervals(poly_degree):
-        x, _, _, w = quadrature.map_nodes(level, lo, hi)
+        x, _, _, w = quadrature._every_node(level, lo, hi)
         xs.append(x)
         ws.append(w * m.weight(x))
     return np.concatenate(xs), np.concatenate(ws)

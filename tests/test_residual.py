@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expi
 
 import chaincast as cc
@@ -96,6 +98,42 @@ class TestConsistency:
         rc = cc.recurrence_coefficients(cc.measure_from_sd(jt, 0.0), 6)
         np.testing.assert_allclose(rc.alpha, 0.5, atol=1e-12)
         np.testing.assert_allclose(rc.beta[1:], 1 / 16, rtol=1e-12)
+
+
+@st.composite
+def _spectral_densities(draw):
+    """J with a working generic route: power law, flat piecewise, linear
+    tabulated (41 samples) or a family-less semicircle, with random
+    parameters."""
+    kind = draw(st.sampled_from(["power_law", "flat", "tabulated", "semicircle"]))
+    if kind == "power_law":
+        return cc.power_law_sd(draw(st.floats(0.2, 3.0)), 0.1, 1.0)
+    lo = draw(st.floats(0.0, 1.0))
+    hi = lo + draw(st.floats(0.3, 2.0))
+    if kind == "flat":
+        return cc.piecewise_uniform_sd([(lo, hi, draw(st.floats(0.1, 2.0)))])
+    if kind == "tabulated":
+        ends = draw(st.tuples(st.floats(0.0, 2.0), st.floats(0.1, 2.0)))
+        return cc.tabulated_sd(np.linspace(lo, hi, 41), np.linspace(*ends, 41))
+    c = draw(st.floats(0.1, 2.0))
+    return cc.custom_sd(
+        lambda w: c * np.sqrt(np.maximum((w - lo) * (hi - w), 0.0)), ((lo, hi),))
+
+
+class TestJacobiShiftProperty:
+    # The recurrence coefficients of J_n's measure are those of d-lambda^q
+    # shifted by n (the paper's central identity), on every J drawn.
+    @settings(deadline=None, max_examples=20, derandomize=True)
+    @given(J=_spectral_densities(), q=st.sampled_from([0, 1]),
+           n=st.integers(1, 4))
+    def test_coefficients_shift_by_n(self, J, q, n):
+        depth = 4
+        rep = cc.residual_consistency(J, q, n, depth)
+        lam = cc.measure_from_sd(J, float(q))
+        lo, hi = lam.hull
+        beta = cc.recurrence_coefficients(lam, n + depth + 1).beta[n:]
+        assert np.all(rep.alpha_deviation <= 1e-11 * (hi - lo))
+        assert np.all(rep.beta_deviation <= 1e-11 * np.abs(beta))
 
 
 class TestRejections:

@@ -483,7 +483,7 @@ class TestPvKernel:
         span = b - a
         lin = np.linspace(lo, hi, 97)
         # node 0 of every level: t - x is exactly 0 there in the first level
-        mid_node = quadrature.map_nodes(stieltjes.PV_MIN_LEVEL, a, b)[0]
+        mid_node = quadrature._every_node(stieltjes.PV_MIN_LEVEL, a, b)[0]
         mid_node = mid_node[len(mid_node) // 2]
         inner = t[(t >= lo) & (t <= hi)]
         sub = inner[len(inner) // 7::max(1, len(inner) // 20)]
@@ -506,8 +506,8 @@ class TestPvKernel:
     def test_matches_dense_masks(self, name, level):
         m = self.MEASURES[name]()
         a, b = m.hull
-        t, _, _, w = quadrature.map_nodes(level, a, b,
-                                          added=level > stieltjes.PV_MIN_LEVEL)
+        t, _, _, w = quadrature._every_node(level, a, b,
+                                            added=level > stieltjes.PV_MIN_LEVEL)
         mu_t = np.asarray(m.weight(t), float)
         for kind, x in self._rows(m, t).items():
             delta = stieltjes.PV_BAND_FRACTION * np.minimum(x - a, b - x)
