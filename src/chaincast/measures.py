@@ -34,6 +34,7 @@ __all__ = [
     "PowerLawWeight",
     "PowerLawExpWeight",
     "SemicircleWeight",
+    "UniformWeight",
     "Measure",
     "SpectralDensity",
     "power_law_sd",
@@ -76,9 +77,11 @@ class PointMass:
 
 
 # ---------------------------------------------------------------------------
-# Analytic weight families.  Each knows its own recurrence coefficients and,
-# when a closed form exists, its reducer; the generic numerical paths never
-# consult these.
+# Analytic weight families: power law (shifted Jacobi), power law times an
+# exponential cutoff (Laguerre), semicircle (second-kind Chebyshev) and flat
+# (shifted Legendre).  Each knows its own recurrence coefficients and, when a
+# closed form exists, its reducer; the generic numerical paths consult only
+# a family's derivative.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -226,7 +229,40 @@ class SemicircleWeight:
         return SemicircleWeight(self.c * factor, self.a, self.b)
 
 
-WeightFamily = PowerLawWeight | PowerLawExpWeight | SemicircleWeight
+@dataclass(frozen=True)
+class UniformWeight:
+    """c on [a, b] (shifted Legendre family)."""
+
+    c: float
+    a: float
+    b: float
+
+    def weight(self, x):
+        x = np.asarray(x, float)
+        return np.where((x >= self.a) & (x <= self.b), self.c, 0.0)
+
+    def derivative(self, x):
+        return np.zeros(np.shape(x))
+
+    def recurrence(self, n: int):
+        k = np.arange(n, dtype=float)
+        alpha = np.full(n, 0.5 * (self.a + self.b))
+        beta = (self.b - self.a) ** 2 * k * k / (4.0 * (4.0 * k * k - 1.0))
+        beta[0] = self.c * (self.b - self.a)
+        return alpha, beta
+
+    def reducer(self, x):
+        # The Lipschitz route's log term in the same operations: its
+        # difference quotients all vanish on a flat weight, so the two
+        # agree bit for bit.
+        x = np.asarray(x, float)
+        return 2.0 * self.c * np.log((x - self.a) / (self.b - x))
+
+    def scaled(self, factor: float) -> "UniformWeight":
+        return UniformWeight(self.c * factor, self.a, self.b)
+
+
+WeightFamily = PowerLawWeight | PowerLawExpWeight | SemicircleWeight | UniformWeight
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +344,7 @@ class Measure(_Supported):
             return cls(fam.weight, ((0.0, fam.cut),), family=fam)
         if isinstance(fam, PowerLawExpWeight):
             return cls(fam.weight, ((0.0, math.inf),), tail=fam.tail(), family=fam)
-        if isinstance(fam, SemicircleWeight):
+        if isinstance(fam, (SemicircleWeight, UniformWeight)):
             return cls(fam.weight, ((fam.a, fam.b),), family=fam)
         raise DomainError(f"unknown family {fam!r}")
 
@@ -428,7 +464,9 @@ class SpectralDensity(_Supported):
     m0_family / m1_family, when present, are the analytic weight families
     of J(x)/pi and J(sqrt(x))/pi; the chain mapping uses them to keep
     closed-form recurrence coefficients and reducers available after the
-    measure transformation.
+    measure transformation.  The power-law constructors and a one-piece
+    ``piecewise_uniform_sd`` (UniformWeight) set them; at 0 < q < 1, and
+    for any J without them, the generic routes run.
     """
 
     evaluator: Callable
@@ -497,7 +535,12 @@ def tabulated_sd(omega: Sequence[float], values: Sequence[float]) -> SpectralDen
 
 
 def piecewise_uniform_sd(pieces: Sequence[tuple[float, float, float]]) -> SpectralDensity:
-    """Piecewise-constant J: heights on disjoint intervals (possibly gapped)."""
+    """Piecewise-constant J: heights on disjoint intervals (possibly gapped).
+
+    A single piece h on [lo, hi] is a flat J: its chain measures are the
+    constant h/pi on [lo, hi] (q = 0) and on [lo**2, hi**2] (q = 1), so it
+    carries UniformWeight families there.
+    """
     pieces = sorted((float(lo), float(hi), float(h)) for lo, hi, h in pieces)
     if any(h < 0 for _, _, h in pieces):
         raise DomainError("piecewise heights must be nonnegative")
@@ -510,7 +553,12 @@ def piecewise_uniform_sd(pieces: Sequence[tuple[float, float, float]]) -> Spectr
             out = np.where((w >= lo) & (w <= hi), h, out)
         return out
 
-    return SpectralDensity(evaluator, support)
+    if len(pieces) != 1:
+        return SpectralDensity(evaluator, support)
+    (lo, hi, h), = pieces
+    return SpectralDensity(evaluator, support,
+                           m0_family=UniformWeight(h / math.pi, lo, hi),
+                           m1_family=UniformWeight(h / math.pi, lo * lo, hi * hi))
 
 
 def custom_sd(evaluator: Callable, support: Intervals,

@@ -2,9 +2,10 @@
 
 The three-term recurrence data (alpha_n, beta_n) of a measure doubles as
 its Jacobi matrix.  Coefficients come either from closed forms attached to
-an analytic weight family or from a discretized Stieltjes orthogonalization
-over a dense tanh-sinh discretization of the measure, refined until the
-coefficients stabilize.
+an analytic weight family (shifted Jacobi for a power law, Laguerre,
+second-kind Chebyshev for a semicircle, shifted Legendre for a flat J) or
+from a discretized Stieltjes orthogonalization over a dense tanh-sinh
+discretization of the measure, refined until the coefficients stabilize.
 
 The discretized procedure runs as Lanczos on diag(x) with start vector
 sqrt(w), which is the Stieltjes procedure on the discrete measure

@@ -27,7 +27,9 @@ doubles there, so about half of each level rounds onto a few positions
 each distinct position once with the summed weight of its nodes, so every
 consumer that reads positions only evaluates each one once; only
 ``integrate(..., with_distances=True)`` sees every node, since the
-distances tell coinciding nodes apart.
+distances tell coinciding nodes apart.  One chain-plus-report computation
+asks for the same few levels on the same intervals dozens of times, so
+``map_nodes`` builds each map once and keeps it in a bounded cache.
 
 All reductions (``np.sum``, and ``np.add.reduceat`` for the merged weights)
 run over a fixed node ordering, so repeated runs are bit-identical.
@@ -55,6 +57,12 @@ MAX_LEVEL = 11
 _TMAX = 6.1
 
 _cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+# Node maps kept by ``map_nodes``, oldest use first: enough for every
+# interval and level of one chain-plus-report computation, and at most
+# about 9 MB (a level-11 map on [0, 1] holds 18672 positions).
+_MAP_CACHE_SIZE = 32
+_maps: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _rule(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -104,10 +112,27 @@ def map_nodes(level: int, a: float, b: float, added: bool = False):
     see ``_every_node``), merged where they round onto one double:
     ``(positions, weights)``, the distinct positions in increasing order,
     each with the summed weight of its nodes.
+
+    Each map is built once per ``(level, a, b, added)`` and kept in a
+    bounded cache (``_MAP_CACHE_SIZE`` maps, least recently used out), so
+    the arrays returned are read-only and shared between callers.
     """
+    key = (level, a, b, added)
+    hit = _maps.pop(key, None)
+    if hit is None:
+        hit = _merged(level, a, b, added)
+        if len(_maps) >= _MAP_CACHE_SIZE:
+            del _maps[next(iter(_maps))]
+    _maps[key] = hit
+    return hit
+
+
+def _merged(level: int, a: float, b: float, added: bool):
     x, _, _, w = _every_node(level, a, b, added)
     first = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    return x[first], np.add.reduceat(w, first)
+    x, w = x[first], np.add.reduceat(w, first)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,

@@ -68,6 +68,30 @@ def test_install_then_uninstall_restores_originals(tracing):
     assert changed == []
 
 
+def test_traced_reducer_records_node_maps(tracing):
+    # ``kernel_cells`` counts the map_nodes spans directly under the
+    # Lipschitz reducer's span: map_nodes must stay a plain function that
+    # ``install`` wraps, whatever cache stands behind it.
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"chaincast.{layer}")
+    quadrature = sys.modules["chaincast.quadrature"]
+    original = quadrature.map_nodes
+    m = cc.Measure(lambda x: np.sqrt(np.maximum(x * (1.0 - x), 0.0)), ((0.0, 1.0),))
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        assert quadrature.map_nodes is not original
+        assert quadrature.map_nodes.__wrapped__ is original
+        sys.modules["chaincast.stieltjes"].reducer(m, np.linspace(0.1, 0.9, 9))
+    finally:
+        tracing.uninstall(restore)
+    lipschitz = [s[0] for s in tracer.spans if s[3] == "stieltjes.reducer.lipschitz"]
+    assert len(lipschitz) == 1
+    assert [s for s in tracer.spans
+            if s[1] == lipschitz[0] and s[3] == "quadrature.map_nodes"]
+    assert tracing.aggregate(tracer.spans, 1)["stieltjes.reducer.kernel_cells"] > 0
+
+
 def test_custom_sd_takes_exponents_positionally():
     # benchmarks/workloads.py builds its family-less semicircle this way
     f = lambda w: np.sqrt(np.maximum(w * (1.0 - w), 0.0))

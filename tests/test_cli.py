@@ -379,6 +379,10 @@ _STARTUP_CONFIGS = {
         "spectral_density": {"family": "power_law_exp_cutoff", "s": 1.3,
                              "alpha": 0.1, "omega_c": 1.0},
         "mapping_q": 0, "sites": 10},
+    "flat_piecewise_q1_report": {
+        "spectral_density": {"family": "piecewise", "intervals": [[0.2, 1.4, 0.8]]},
+        "mapping_q": 1, "sites": 10, "residual_orders": [1, 2, 3],
+        "grid": {"points": 32}},
     "gapped_piecewise_q0": {
         "spectral_density": {"family": "piecewise",
                              "intervals": [[0, 1, 1.0], [2, 3, 1.0]]},
@@ -407,7 +411,7 @@ class TestStartupImports:
     """`chaincast run` loads scipy only where a job needs a scipy routine."""
 
     @pytest.mark.parametrize("name", ["power_law_q0_report", "power_law_q1",
-                                      "exp_cutoff_q0"])
+                                      "exp_cutoff_q0", "flat_piecewise_q1_report"])
     def test_run_without_scipy(self, startup_runs, name):
         root, results = startup_runs
         res = results[name]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -5,12 +6,15 @@ import numpy as np
 import pytest
 
 import chaincast as cc
+from chaincast import stieltjes
 from chaincast.errors import (
     DivergentMoment,
     DomainError,
+    IllConditioned,
     NonMonotoneDispersion,
     ZeroMass,
 )
+from chaincast.measures import UniformWeight
 
 
 class TestSpectralDensityFromDispersion:
@@ -156,3 +160,56 @@ class TestStructure:
             cc.tabulated_sd([0.0, 0.5, 0.4], [1.0, 1.0, 1.0])
         with pytest.raises(DomainError):
             cc.tabulated_sd([0.0, 0.5, 1.0], [1.0, -1.0, 1.0])
+
+
+def _random_flats(count, seed):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        lo = 0.0 if i % 4 == 0 else rng.uniform(0.0, 0.5)
+        yield lo, lo + rng.uniform(0.5, 2.0), rng.uniform(0.2, 2.0)
+
+
+class TestUniformWeight:
+    """A one-piece piecewise J is flat: its chain measures at q = 0 and 1
+    are UniformWeight families with closed-form recurrence and reducer."""
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_families_keep_the_mapped_support(self, q):
+        for lo, hi, h in _random_flats(20, 1):
+            m = cc.measure_from_sd(cc.piecewise_uniform_sd([(lo, hi, h)]), q)
+            assert isinstance(m.family, UniformWeight)
+            kernel = cc.mapping_kernel(q)
+            assert m.hull == (kernel.G(lo), kernel.G(hi))
+            assert m.family.c == h / math.pi
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_reducer_is_the_lipschitz_route_bit_for_bit(self, q):
+        # The twin has the same evaluator and no family, so it takes the
+        # Lipschitz route, whose difference quotients all vanish.
+        for lo, hi, h in _random_flats(20, 2):
+            sd = cc.piecewise_uniform_sd([(lo, hi, h)])
+            twin = dataclasses.replace(sd, m0_family=None, m1_family=None)
+            m, m_twin = cc.measure_from_sd(sd, q), cc.measure_from_sd(twin, q)
+            assert m_twin.family is None and m_twin.hull == m.hull
+            xs = np.linspace(*stieltjes.evaluation_band(m), 2048)
+            np.testing.assert_array_equal(
+                cc.reducer(m, xs), stieltjes._reducer_lipschitz(m_twin, xs))
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_recurrence_matches_the_generic_route(self, q):
+        for lo, hi, h in _random_flats(3, 3):
+            m = cc.measure_from_sd(cc.piecewise_uniform_sd([(lo, hi, h)]), q)
+            closed = cc.recurrence_coefficients(m, 200)
+            generic = cc.recurrence_coefficients(m, 200, method="stieltjes")
+            a, b = m.hull
+            assert np.max(np.abs(closed.alpha - generic.alpha)) <= 1e-14 * (b - a)
+            np.testing.assert_allclose(closed.beta, generic.beta, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_zero_height_is_ill_conditioned(self, q):
+        with pytest.raises(IllConditioned):
+            cc.chain_coefficients(cc.piecewise_uniform_sd([(0.2, 1.0, 0.0)]), q, 5)
+
+    def test_gapped_pieces_keep_the_generic_route(self):
+        sd = cc.piecewise_uniform_sd([(0.0, 1.0, 1.0), (2.0, 3.0, 0.5)])
+        assert sd.m0_family is None and sd.m1_family is None

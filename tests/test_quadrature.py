@@ -115,6 +115,22 @@ class TestMergedNodes:
         (x, _), (pos, _) = self._subsets(level, 0.0, 1.0)[0]
         assert len(pos) < len(x)
 
+    def test_maps_are_built_once_and_read_only(self):
+        first = quadrature.map_nodes(7, 0.3, 1.6, added=True)
+        again = quadrature.map_nodes(7, 0.3, 1.6, added=True)
+        assert all(x is y for x, y in zip(first, again))
+        for built, fresh in zip(first, quadrature._merged(7, 0.3, 1.6, True)):
+            assert np.array_equal(built, fresh)
+            with pytest.raises(ValueError):
+                built[0] = 0.0
+
+    def test_cache_stays_bounded(self):
+        for k in range(2 * quadrature._MAP_CACHE_SIZE):
+            quadrature.map_nodes(3, 0.0, 1.0 + k)
+        assert len(quadrature._maps) == quadrature._MAP_CACHE_SIZE
+        # least recently used out: the last keys asked for are still held
+        assert (3, 0.0, 2.0 * quadrature._MAP_CACHE_SIZE, False) in quadrature._maps
+
     # elementwise integrands: one value per position, whichever node asks
     FUNCS = {
         "scalar": lambda x: np.exp(-x * x) * np.sin(40 * x) ** 2 + x**-0.5,

@@ -245,7 +245,8 @@ class TestLipschitzRoute:
         # A flat J at q = 1 maps to a flat measure on [lo^2, hi^2], whose
         # reducer is 2 mu ln((y - a)/(b - y)); finite differences of the
         # piecewise weight must not sample across an endpoint.
-        m = cc.measure_from_sd(cc.piecewise_uniform_sd([(lo, hi, 0.8)]), 1.0)
+        m = cc.measure_from_sd(_familyless_flat(lo, hi, 0.8), 1.0)
+        assert m.family is None
         a, b = m.hull
         ys = np.linspace(*stieltjes.evaluation_band(m), 2048)
         want = 2.0 * (0.8 / math.pi) * np.log((ys - a) / (b - ys))
@@ -306,7 +307,7 @@ class TestRowRefinement:
         assert np.all(np.abs(stacked - single) <= 1e-15 * scale)
 
     def test_flat_measure_converges_at_the_first_comparison(self, pv_calls):
-        m = cc.measure_from_sd(cc.piecewise_uniform_sd([(0.1, 1.7, 0.8)]), 0.0)
+        m = cc.measure_from_sd(_familyless_flat(0.1, 1.7, 0.8), 0.0)
         cc.reducer(m, np.linspace(*stieltjes.evaluation_band(m), 2048))
         # the distinct positions of level 3, then of the nodes level 4 adds
         t3 = quadrature.map_nodes(3, 0.1, 1.7)[0]
@@ -439,6 +440,13 @@ def _unconverged_rows(caplog) -> int:
 def _familyless_semicircle(a, b, c):
     return cc.custom_sd(lambda w: c * np.sqrt(np.maximum((w - a) * (b - w), 0.0)),
                         ((a, b),), ((0.5, 0.5),))
+
+
+def _familyless_flat(lo, hi, h):
+    """A one-piece ``piecewise_uniform_sd`` without its UniformWeight
+    families: the same evaluator, so the reducer takes the Lipschitz route."""
+    return cc.custom_sd(lambda w: np.where((w >= lo) & (w <= hi), h, 0.0),
+                        ((lo, hi),))
 
 
 def _pv_sums_dense(m, x, mu_x, delta, t, mu_t, w):
