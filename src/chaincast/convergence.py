@@ -23,7 +23,12 @@ import numpy as np
 from . import quadrature
 from .chainmap import chain_coefficients, mapping_kernel, measure_from_sd
 from .errors import NotInSzegoClass, UnsupportedMapping
-from .measures import SemicircleWeight, SpectralDensity
+from .measures import (
+    PowerLawWeight,
+    SemicircleWeight,
+    SpectralDensity,
+    WeightFamily,
+)
 from .residual import ResidualDensity
 
 __all__ = [
@@ -42,7 +47,10 @@ _log = logging.getLogger(__name__)
 class SzegoVerdict:
     in_class: bool
     reason: str | None = None          # "unbounded" | "gapped" | "log_divergence"
-    integral: float | None = None      # last exclusion value when computed
+    # The Szego integral itself for a measure with a family (-inf for a
+    # zero weight); for a family-less measure, the value at the last
+    # endpoint exclusion, which is not the integral.
+    integral: float | None = None
 
     def __str__(self) -> str:
         return "in_class" if self.in_class else f"out_of_class({self.reason})"
@@ -51,7 +59,9 @@ class SzegoVerdict:
 def szego_check(J: SpectralDensity, q: float) -> SzegoVerdict:
     """Verdict on int ln M^q(x) dx / sqrt((B-x)(x-A)) > -inf.
 
-    Unbounded or gapped supports are classified immediately.  Otherwise the
+    Unbounded or gapped supports are classified immediately.  A measure
+    with a family, c (x-A)^ea (B-x)^eb, is in class when c > 0, with the
+    closed-form integral pi [ln c + (ea + eb) ln((B-A)/4)].  Otherwise the
     integral is evaluated on shrinking endpoint exclusions
     delta_k = 10^-k (B-A), k = 2..6; the verdict is in_class when the
     increments between consecutive exclusions decay (geometric ratio < 0.95),
@@ -62,6 +72,8 @@ def szego_check(J: SpectralDensity, q: float) -> SzegoVerdict:
     if not J.gapless:
         return SzegoVerdict(False, "gapped")
     m = measure_from_sd(J, q)
+    if m.family is not None:
+        return _family_verdict(m.family)
     a, b = m.hull
     span = b - a
 
@@ -86,6 +98,22 @@ def szego_check(J: SpectralDensity, q: float) -> SzegoVerdict:
     if np.all(ratios < 0.95):
         return SzegoVerdict(True, integral=values[-1])
     return SzegoVerdict(False, "log_divergence", integral=values[-1])
+
+
+def _family_verdict(fam: WeightFamily) -> SzegoVerdict:
+    """szego_check for a bounded family: with x - A = (B-A) sin^2(theta/2)
+    the integral is int_0^pi ln w dtheta, and each endpoint factor gives
+    int_0^pi ln((B-A) sin^2(theta/2)) dtheta = pi ln((B-A)/4)."""
+    if isinstance(fam, PowerLawWeight):
+        a, b, exponents = 0.0, fam.cut, fam.s
+    elif isinstance(fam, SemicircleWeight):
+        a, b, exponents = fam.a, fam.b, 1.0
+    else:  # UniformWeight, the one other family on a bounded support
+        a, b, exponents = fam.a, fam.b, 0.0
+    if not fam.c > 0:
+        return SzegoVerdict(False, "log_divergence", integral=-math.inf)
+    return SzegoVerdict(True, integral=math.pi * (
+        math.log(fam.c) + exponents * math.log((b - a) / 4.0)))
 
 
 def asymptotic_limits(J: SpectralDensity, q: float) -> tuple[float, float]:
@@ -169,8 +197,9 @@ def _density_moments(densities, lo: float, hi: float, k_max: int) -> np.ndarray:
     density is evaluated once per node, and each moment stops at the level
     where it would have stopped alone."""
     def integrand(x):
-        rows = [np.asarray(f(x), float) for f in densities]
-        return np.array([[r * x**k for k in range(k_max + 1)] for r in rows])
+        rows = np.array([np.asarray(f(x), float) for f in densities])
+        powers = np.array([x**k for k in range(k_max + 1)])
+        return rows[:, None, :] * powers
 
     rel_tol = 1e-11
     vals, ok = quadrature.integrate(integrand, lo, hi, rel_tol=rel_tol)
@@ -190,7 +219,8 @@ def convergence_report(J: SpectralDensity, q: float, n: int,
     q in {0, 1} on Szego-class inputs (elsewhere there is no terminal
     density to compare against).  All orders and moments share one node
     set: a single vector quadrature evaluates the terminal density and
-    every J_m once per node, so the reducer runs once per quadrature level.
+    every J_m once per node, so the weight, the reducer and the P and Q
+    tables are evaluated once per node set.
     """
     verdict = szego_check(J, q)
     cc = chain_coefficients(J, q, n)

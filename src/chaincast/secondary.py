@@ -51,16 +51,18 @@ class SecondarySequence:
     mode "normalized": members are the unit-mass secondary sequence of the
     normalized base.  mode "beta_normalized": members keep mass
     beta_n(d nu_0) of the original base.  All P, Q, phi come from the single
-    base measure stored here; nothing is re-derived per member.
+    base measure stored here; nothing is re-derived per member.  Members are
+    usually sampled order by order on one grid, so the weight, the reducer
+    and the P and Q tables up to the prepared order are evaluated once per
+    distinct x array and kept for the last one.
     """
 
     base: Measure
     rc: RecurrenceCoefficients
     mode: str
-    # (x, phi) of the last reducer call: the members are usually sampled
-    # order by order on one grid, and phi is the same for all of them.
-    _phi_memo: list = field(default_factory=list, init=False, repr=False,
-                            compare=False)
+    # (x, (mu0, phi, P table, Q table)) of the last x, all read-only.
+    _memo: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
 
     @classmethod
     def build(cls, measure: Measure, order: int,
@@ -89,23 +91,31 @@ class SecondarySequence:
         if n > self.order:
             raise IndexOutOfRange(f"member {n} beyond prepared order {self.order}")
         xs = np.atleast_1d(np.asarray(x, float))
-        mu0 = np.asarray(self.base.weight(xs), float)
-        phi = self._phi(xs)
-        p = orthonormal_table(self.rc, n - 1, xs)[n - 1]
-        q = secondary_table(self.rc, n - 1, xs)[n - 1]
+        mu0, phi, p_table, q_table = self._tables(xs)
+        p, q = p_table[n - 1], q_table[n - 1]
         den = (p * phi / 2.0 - q) ** 2 + math.pi**2 * mu0**2 * p**2
         vals = mu0 / den
         if self.mode == "normalized":
             vals = vals / self.rc.beta[n]
         return vals if np.ndim(x) else float(vals[0])
 
-    def _phi(self, xs: np.ndarray) -> np.ndarray:
-        memo = self._phi_memo
+    def _tables(self, xs: np.ndarray) -> tuple:
+        """mu0, phi, P_0..P_{order-1} and Q_0..Q_{order-1} at xs.  Row k of
+        a table does not depend on the rows after it, so every member reads
+        the bits a table built up to its own order would give."""
+        memo = self._memo
         if memo and np.array_equal(memo[0], xs):
             return memo[1]
-        phi = np.asarray(reducer(self.base, xs), float)
-        memo[:] = [xs.copy(), phi]
-        return phi
+        memo.clear()  # the previous x's tables need not outlive it
+        top = self.order - 1
+        tables = (np.array(self.base.weight(xs), float),
+                  np.array(reducer(self.base, xs), float),
+                  orthonormal_table(self.rc, top, xs),
+                  secondary_table(self.rc, top, xs))
+        for t in tables:
+            t.flags.writeable = False
+        memo[:] = [xs.copy(), tables]
+        return tables
 
     def member_mass(self, n: int) -> float:
         if n == 0:

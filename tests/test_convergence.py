@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,6 +34,76 @@ class TestSzegoCheck:
             ((0.0, 1.0),))
         v = cc.szego_check(j, 0.0)
         assert str(v) == "out_of_class(log_divergence)"
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_zero_height_flat_diverges(self, q):
+        # ln 0 is not integrable: the family's height alone decides it
+        v = cc.szego_check(cc.piecewise_uniform_sd([(0.0, 1.0, 0.0)]), q)
+        assert str(v) == "out_of_class(log_divergence)"
+        assert v.integral == -math.inf
+
+
+def _theta_integral(log_weight, a, b):
+    """int_0^pi ln M(x) dtheta with x - a = (b-a) sin^2(theta/2) and
+    b - x = (b-a) cos^2(theta/2), at 30 digits; ``log_weight(x, da, db)``
+    takes the point and its two endpoint distances."""
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+
+        def f(t):
+            da = (b - a) * mpmath.sin(t / 2) ** 2
+            db = (b - a) * mpmath.cos(t / 2) ** 2
+            return log_weight(a + da, da, db)
+        return float(mpmath.quad(f, [0, mpmath.pi]))
+
+
+def _closed_form_cases():
+    """(label, J, q, ln M(x, da, db), support of M) for every bounded
+    family; ln M is written from J's formula, not from its family."""
+    alpha, wc = 0.1, 1.3
+    for s in (0.0, 0.5, 1.0, 2.0, 3.0):
+        def ln_m(w, s=s):
+            return (mpmath.log(2 * alpha * mpmath.mpf(wc) ** (1 - s))
+                    + s * mpmath.log(w))
+        sd = cc.power_law_sd(s, alpha, wc)
+        yield f"power_law_s{s}_q0", sd, 0.0, lambda x, da, db, f=ln_m: f(da), (0.0, wc)
+        yield (f"power_law_s{s}_q1", sd, 1.0,
+               lambda x, da, db, f=ln_m: f(mpmath.sqrt(da)), (0.0, wc * wc))
+    lo, hi, h = 0.2, 1.6, 0.7
+    flat = cc.piecewise_uniform_sd([(lo, hi, h)])
+    for q, band in ((0.0, (lo, hi)), (1.0, (lo * lo, hi * hi))):
+        yield (f"flat_q{q:g}", flat, q,
+               lambda x, da, db: mpmath.log(mpmath.mpf(h) / mpmath.pi), band)
+    # terminal densities carry the semicircle family: 0.5 sqrt(da db) / pi
+    base = cc.power_law_sd(1.0, 0.1, wc)
+    for q, band in ((0, (0.0, wc)), (1, (0.0, wc * wc))):
+        yield (f"semicircle_q{q}", cc.terminal_sd(base, q), float(q),
+               lambda x, da, db: mpmath.log(mpmath.sqrt(da * db) / (2 * mpmath.pi)),
+               band)
+
+
+class TestSzegoClosedForms:
+    # Worst agreement seen with the 30-digit theta integral: 2.1e-16
+    # relative (one ulp), on power law s = 2 at q = 1.
+    @pytest.mark.parametrize("sd, q, log_weight, band",
+                             [pytest.param(*case, id=label)
+                              for label, *case in _closed_form_cases()])
+    def test_integral_matches_mpmath(self, sd, q, log_weight, band):
+        v = cc.szego_check(sd, q)
+        assert v.in_class
+        want = _theta_integral(log_weight, *band)
+        assert abs(v.integral - want) <= 5e-16 * abs(want)
+        # the family-less twin takes the exclusion route to the same verdict
+        twin = cc.custom_sd(sd.evaluator, sd.support)
+        assert str(cc.szego_check(twin, q)) == str(v)
+
+    def test_no_quadrature_for_a_family(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("szego_check integrated a family measure")
+        monkeypatch.setattr(convergence.quadrature, "integrate", forbidden)
+        for sd in (cc.power_law_sd(1.0, 0.1), cc.piecewise_uniform_sd([(0.1, 1.0, 1.0)])):
+            for q in (0.0, 1.0):
+                assert cc.szego_check(sd, q).in_class
 
 
 class TestAsymptoticLimits:
@@ -124,6 +195,24 @@ class TestConvergenceReport:
         np.testing.assert_allclose(rep.alpha, 2 * np.arange(8.0) + 2, rtol=1e-11)
         # the footnote observable is still reported
         assert rep.hopping_ratio.size == 8
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_moments_bit_identical_to_product_loop(self, q):
+        # Reference: one product r * x**k per density and moment, the
+        # integrand the broadcast replaced; the arithmetic is the same.
+        sd = cc.power_law_sd(1.0, 0.1, 1.0)
+        rd = cc.ResidualDensity.build(sd, q, 3)
+        densities = [cc.terminal_sd(sd, q)] + [lambda w, m=m: rd(m, w)
+                                               for m in (1, 2, 3)]
+        lo, hi = rd.clipped_range()
+
+        def loop(x):
+            rows = [np.asarray(f(x), float) for f in densities]
+            return np.array([[r * x**k for k in range(9)] for r in rows])
+
+        want, _ = cc.quadrature.integrate(loop, lo, hi, rel_tol=1e-11)
+        got = convergence._density_moments(densities, lo, hi, 8)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("q", [0, 1])
     @pytest.mark.parametrize("family", ["flat", "power_law"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import chaincast as cc
-from chaincast import stieltjes
+from chaincast import orthopoly, secondary, stieltjes
 from chaincast.errors import (
     GappedMeasure,
     IndexOutOfRange,
@@ -167,6 +167,71 @@ class TestSequenceDensity:
         assert calls == [17, 17]
         fresh = cc.SecondarySequence.build(plain, 3, mode="beta_normalized")
         assert np.array_equal(seq.density(3, xs), fresh.density(3, xs))
+
+
+def _familyless_semicircle_sd(a, b, c):
+    return cc.custom_sd(lambda w: c * np.sqrt(np.maximum((w - a) * (b - w), 0.0)),
+                        ((a, b),))
+
+
+_SHARED_TABLE_SDS = {
+    "flat": lambda: cc.piecewise_uniform_sd([(0.2, 1.4, 0.7)]),
+    "power_law": lambda: cc.power_law_sd(1.0, 0.1, 1.0),
+    "familyless_semicircle": lambda: _familyless_semicircle_sd(0.3, 2.1, 0.8),
+}
+
+
+class TestSharedTables:
+    """The weight, the reducer and the P and Q tables are evaluated once per
+    distinct x array and shared by every member."""
+
+    def test_one_pass_per_grid(self, monkeypatch):
+        rd = cc.ResidualDensity.build(cc.piecewise_uniform_sd([(0.2, 1.4, 0.7)]), 0, 3)
+        calls = {"reducer": 0, "orthonormal_table": 0, "secondary_table": 0}
+        for name in calls:
+            real = getattr(secondary, name)
+
+            def counting(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(secondary, name, counting)
+        grid = np.linspace(*rd.clipped_range(), 33)
+        for n in (1, 2, 3):
+            rd(n, grid)
+        assert calls == {"reducer": 1, "orthonormal_table": 1, "secondary_table": 1}
+        rd(2, grid[1:])
+        assert calls == {"reducer": 2, "orthonormal_table": 2, "secondary_table": 2}
+
+    def test_memo_is_read_only(self):
+        seq = cc.SecondarySequence.build(cc.power_law_measure(2.0, 1.0), 3)
+        xs = np.linspace(0.1, 0.9, 9)
+        seq.density(2, xs)
+        tables = seq._memo[1]
+        assert len(tables) == 4
+        for t in tables:
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0] = 0.0
+        assert xs.flags.writeable
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("name", sorted(_SHARED_TABLE_SDS))
+    @pytest.mark.parametrize("order", [(1, 2, 3), (3, 1, 2), (2, 3, 1)])
+    def test_members_bit_identical_to_one_order_alone(self, name, q, order):
+        sd = _SHARED_TABLE_SDS[name]()
+        rd = cc.ResidualDensity.build(sd, q, 3)
+        grid = np.linspace(*rd.clipped_range(), 65)
+        got = {n: rd(n, grid) for n in order}
+        y = grid if q == 0 else grid * grid
+        _, _, p_table, q_table = rd.seq._memo[1]
+        for n in order:
+            alone = cc.ResidualDensity.build(sd, q, 3)
+            assert np.array_equal(got[n], alone(n, grid))
+            # a table built only up to row n - 1 has the same bits there
+            assert np.array_equal(p_table[n - 1],
+                                  orthopoly.orthonormal_table(rd.seq.rc, n - 1, y)[n - 1])
+            assert np.array_equal(q_table[n - 1],
+                                  orthopoly.secondary_table(rd.seq.rc, n - 1, y)[n - 1])
 
 
 class TestSecondaryMoments:
