@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -98,17 +100,28 @@ def _number(val, fld: str, integer: bool = False):
     """val as a float, or as an int for an integer field.  Strings that
     parse as numbers pass (CSV cells are strings); bools, null, other
     strings and non-finite values (JSON Infinity, NaN or 1e400, cells inf
-    or nan) raise ConfigError naming fld, and so does a non-integral value
-    of an integer field."""
+    or nan, JSON integers beyond the float range) raise ConfigError naming
+    fld, and so does a non-integral value of an integer field."""
     try:
         num = None if isinstance(val, bool) else float(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         num = None
     _require(num is not None and math.isfinite(num)
              and (num.is_integer() or not integer), fld,
              f"must be {'an integer' if integer else 'a finite number'}, "
              f"got {val!r}")
     return int(num) if integer else num
+
+
+def _load(path: Path, fld: str, parse: Callable):
+    """parse applied to the file's UTF-8 text; a file that is missing,
+    unreadable, not UTF-8 or that parse rejects raises ConfigError naming
+    fld."""
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ConfigError(fld, f"cannot read {path}: {type(exc).__name__}: "
+                          f"{exc}") from exc
 
 
 def _build_sd(spec: dict, base_dir: Path) -> SpectralDensity:
@@ -131,17 +144,16 @@ def _build_sd(spec: dict, base_dir: Path) -> SpectralDensity:
         return maker(s, alpha, omega_c)
     if family == "tabulated":
         _require("samples_path" in spec, "spectral_density.samples_path", "required")
-        path = base_dir / str(spec["samples_path"])
-        _require(path.exists(), "spectral_density.samples_path", f"no file {path}")
         rows = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                _require(len(row) >= 2, "spectral_density.samples_path",
-                         f"row {row} needs omega,J")
-                rows.append(tuple(_number(cell, "spectral_density.samples_path")
-                                  for cell in row[:2]))
+        for row in _load(base_dir / str(spec["samples_path"]),
+                         "spectral_density.samples_path",
+                         lambda text: list(csv.reader(io.StringIO(text)))):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            _require(len(row) >= 2, "spectral_density.samples_path",
+                     f"row {row} needs omega,J")
+            rows.append(tuple(_number(cell, "spectral_density.samples_path")
+                              for cell in row[:2]))
         _require(len(rows) >= 2, "spectral_density.samples_path", "need >= 2 samples")
         omega = [r[0] for r in rows]
         vals = [r[1] for r in rows]
@@ -178,12 +190,7 @@ def validate(path: str | Path, q_override: float | None = None,
              out_dir: str | Path | None = None) -> JobConfig:
     """Parse, check and resolve a config file (defaults applied)."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError("config", f"no such file: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    raw = _load(path, "config", json.loads)
     _require(isinstance(raw, dict), "config", "top level must be an object")
     unknown = set(raw) - _TOP_KEYS
     _require(not unknown, "config", f"unknown keys {sorted(unknown)}")

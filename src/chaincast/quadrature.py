@@ -12,14 +12,11 @@ positions (``_every_node``); this keeps ``x - a`` accurate down to
 ~1e-290 of the interval width, which is what makes endpoint-singular
 integrands of the distances evaluate cleanly.
 
-The levels are nested (Bailey, Jeyabalan & Li, Exp. Math. 14 (2005) 317):
-the even-k nodes of a level are the nodes of the previous level at half
-the weights, so a level's sum is half the previous sum plus the sum over
-the odd-k nodes it adds (``map_nodes(..., added=True)``).  ``integrate``
-and the Lipschitz reducer both refine by that rule, and each calls its
-integrand only at the nodes a level adds.  The integrand may return an
-array of shape ``(..., nodes)``; every component then converges on its
-own, exactly as if it had been integrated alone.
+The levels are nested, and one private loop (``_refine``, which states
+the rule) refines the sums of both ``integrate`` and the Lipschitz
+reducer; each calls its integrand only at the nodes a level adds.  The integrand may return an array of shape
+``(..., nodes)``; every component then converges on its own, exactly as
+if it had been integrated alone.
 
 Next to a nonzero endpoint the nodes cluster closer than the spacing of
 doubles there, so about half of each level rounds onto a few positions
@@ -135,15 +132,46 @@ def _merged(level: int, a: float, b: float, added: bool):
     return x, w
 
 
+def _refine(part, first, accept):
+    """Refine sums of several components over nested levels ``first`` to
+    ``MAX_LEVEL``: the one loop behind ``integrate`` and the Lipschitz
+    reducer.
+
+    The levels are nested (Bailey, Jeyabalan & Li, Exp. Math. 14 (2005)
+    317): the even-k nodes of a level are the nodes of the previous level
+    at half the weights, so a level's sum is half the previous sum plus the
+    sum over the odd-k nodes it adds (``map_nodes(..., added=True)``).
+    ``part(level, added, rows)`` returns the sums over the level's nodes
+    (over those it adds when ``added``) for the components ``rows``, one
+    per entry of the first axis; ``rows`` is ``slice(None)`` at ``first``
+    and an index array after.  A component whose sums ``cur`` pass
+    ``accept(cur, prev, rows)`` against the previous level's keeps them
+    and leaves the active rows, so each converges on its own, exactly as
+    if it had been refined alone.
+
+    Returns ``(sums, never)``: every component's sums, and the indices of
+    those still active at ``MAX_LEVEL``, which keep that level's sums.
+    """
+    out = part(first, False, slice(None))
+    active = np.arange(len(out))
+    for level in range(first + 1, MAX_LEVEL + 1):
+        prev = out[active]
+        out[active] = cur = 0.5 * prev + part(level, True, active)
+        active = active[~accept(cur, prev, active)]
+        if not len(active):
+            break
+    return out, active
+
+
 def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
               with_distances: bool = False):
-    """Integrate f over [a, b], halving the step until two consecutive
-    levels agree to ``rel_tol`` (at most ``MAX_LEVEL``).  An absolute floor
-    proportional to the integrand's L1 mass keeps exactly-cancelling
-    integrals (odd moments of symmetric weights) from chasing their roundoff.
+    """Integrate f over [a, b], refining the nested levels from
+    ``MIN_LEVEL`` (``_refine``) until two consecutive levels agree to
+    ``rel_tol`` (at most ``MAX_LEVEL``).  An absolute floor proportional to
+    the integrand's L1 mass keeps exactly-cancelling integrals (odd moments
+    of symmetric weights) from chasing their roundoff.
 
-    Each level's sum and L1 sum are half the previous level's plus the sums
-    over the nodes it adds, so f sees only those, once per distinct position
+    f sees only the nodes each level adds, once per distinct position
     (``map_nodes``); with ``with_distances`` the distances tell coinciding
     nodes apart and f sees every node.  f may return shape ``(..., nodes)``:
     the value then has shape ``(...)`` and each component keeps the level
@@ -156,31 +184,29 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     """
     if not b > a:
         return 0.0, True
+    shape = ()
 
-    def sums(level, added):
-        """Sum and L1 sum over the level's nodes, or those it adds."""
+    def sums(level, added, rows):
+        """Sum and L1 sum of each component over the level's nodes, or
+        those it adds."""
+        nonlocal shape
         if with_distances:
             x, da, db, w = _every_node(level, a, b, added)
             vals = np.asarray(f(x, da, db))
         else:
             x, w = map_nodes(level, a, b, added)
             vals = np.asarray(f(x))
-        return np.sum(vals * w, axis=-1), np.sum(np.abs(vals) * w, axis=-1)
+        s = np.sum(vals * w, axis=-1)
+        shape = s.shape
+        l1 = np.sum(np.abs(vals) * w, axis=-1)
+        return np.array([s.reshape(-1), l1.reshape(-1)]).T[rows]
 
-    cur, l1 = sums(MIN_LEVEL, False)
-    value = cur
-    done = np.zeros(np.shape(cur), bool)
-    for level in range(MIN_LEVEL + 1, MAX_LEVEL + 1):
-        prev = cur
-        part, part_l1 = sums(level, True)
-        cur = 0.5 * prev + part
-        l1 = 0.5 * l1 + part_l1
-        ok = ~done & (np.abs(cur - prev) <= rel_tol * np.abs(cur) + 1e-15 * l1 + 1e-300)
-        value = np.where(ok, cur, value)
-        done |= ok
-        if done.all():
-            return value[()], True
-    return np.where(done, value, cur)[()], False
+    def accept(cur, prev, rows):
+        return (np.abs(cur[:, 0] - prev[:, 0])
+                <= rel_tol * np.abs(cur[:, 0]) + 1e-15 * cur[:, 1].real + 1e-300)
+
+    out, never = _refine(sums, MIN_LEVEL, accept)
+    return out[:, 0].reshape(shape)[()], not len(never)
 
 
 def tail_cutoff(rate: float, power: float, stretch: float) -> float:

@@ -193,18 +193,16 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     stays clear of the tanh-sinh nodes clustered there, where mu may vary
     like a power of that distance.
 
-    The integral runs over nested tanh-sinh levels from ``_first_level``:
-    each level after the first adds only its new nodes to half the
-    previous sum.  The columns t of each level are its distinct positions
-    with summed weights (``quadrature.map_nodes``), sorted as ``_pv_sums``
-    needs, and callers hand in distinct rows x:
-    ``quadrature.integrate`` and the sampling grids evaluate each position
-    once.  Rows refine one by one, as the components of
-    ``quadrature.integrate`` do: a row whose relative change falls below
-    PV_REL_TOL keeps that level's value and drops out.  For a smooth mu
-    nearly every row stops at the first comparison; only rows that do not
-    settle (on an even grid, those within about 1e-12 of the span from an
-    endpoint) run on to the last level, where they are logged as a
+    The integral runs over the nested tanh-sinh levels from
+    ``_first_level`` through ``quadrature._refine``, one row per x.  The
+    columns t of each level are its distinct positions with summed weights
+    (``quadrature.map_nodes``), sorted as ``_pv_sums`` needs, and callers
+    hand in distinct rows x: ``quadrature.integrate`` and the sampling
+    grids evaluate each position once.  A row whose relative change falls
+    below PV_REL_TOL keeps that level's value and drops out.  For a smooth
+    mu nearly every row stops at the first comparison; only rows that do
+    not settle (on an even grid, those within about 1e-12 of the span from
+    an endpoint) run on to the last level, where they are logged as a
     warning, not raised.  The kernel is formed in row blocks
     (``_pv_sums``), so memory does not grow with len(x) times the node
     count.
@@ -213,30 +211,25 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     delta = PV_BAND_FRACTION * np.minimum(x - a, b - x)
     mu_x = np.asarray(m.weight(x), float)
 
-    out = np.empty(len(x))
-    active = np.arange(len(x))
-    cur = None
-    for level in range(_first_level(m), quadrature.MAX_LEVEL + 1):
-        t, w = quadrature.map_nodes(level, a, b, added=cur is not None)
-        part = _pv_sums(m, x[active], mu_x[active], delta[active], t,
+    def part(level, added, rows):
+        t, w = quadrature.map_nodes(level, a, b, added=added)
+        return _pv_sums(m, x[rows], mu_x[rows], delta[rows], t,
                         np.asarray(m.weight(t), float), w)
-        if cur is None:
-            cur = part
-            continue
-        prev = cur
-        cur = 0.5 * prev + part
-        change = np.abs(cur - prev) / (np.abs(cur) + np.abs(mu_x[active]) + 1e-300)
-        done = change < PV_REL_TOL
-        out[active[done]] = cur[done]
-        active, cur, change = active[~done], cur[~done], change[~done]
-        if not len(active):
-            break
-    else:
-        out[active] = cur
+
+    def accept(cur, prev, rows):
+        # kept for the warning: at the last level, the rows that fail
+        # hold the largest changes
+        nonlocal change
+        change = np.abs(cur - prev) / (np.abs(cur) + np.abs(mu_x[rows]) + 1e-300)
+        return change < PV_REL_TOL
+
+    change = None
+    out, never = quadrature._refine(part, _first_level(m), accept)
+    if len(never):
         _log.warning("Lipschitz reducer not converged at level %d on %d of %d "
                      "distinct points: max relative change %.3g, "
                      "required < %.3g",
-                     quadrature.MAX_LEVEL, len(active), len(x), change.max(),
+                     quadrature.MAX_LEVEL, len(never), len(x), change.max(),
                      PV_REL_TOL)
     return 2.0 * mu_x * np.log((x - a) / (b - x)) - 2.0 * out
 

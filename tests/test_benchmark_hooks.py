@@ -92,6 +92,40 @@ def test_traced_reducer_records_node_maps(tracing):
     assert tracing.aggregate(tracer.spans, 1)["stieltjes.reducer.kernel_cells"] > 0
 
 
+def test_reducer_node_maps_are_direct_children(tracing):
+    # The reducer's levels run through a private refinement loop; a traced
+    # span between the reducer and map_nodes would hide the maps from
+    # ``kernel_cells``, which reads only the reducer's direct children.
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"chaincast.{layer}")
+    m = cc.Measure(lambda x: np.sqrt(np.maximum((x - 0.3) * (2.1 - x), 0.0)),
+                   ((0.3, 2.1),))
+    xs = np.linspace(*cc.stieltjes.evaluation_band(m), 257)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        sys.modules["chaincast.stieltjes"].reducer(m, xs)
+    finally:
+        tracing.uninstall(restore)
+    by_id = {s[0]: s for s in tracer.spans}
+    (lipschitz,) = [s[0] for s in tracer.spans
+                    if s[3] == "stieltjes.reducer.lipschitz"]
+
+    def inside(span):
+        while span[1] in by_id:
+            span = by_id[span[1]]
+            if span[0] == lipschitz:
+                return True
+        return False
+
+    maps = [s for s in tracer.spans
+            if s[3] == "quadrature.map_nodes" and inside(s)]
+    # _first_level's maps, then one per level the rows run: the rows at
+    # the band ends run to the last level
+    assert len(maps) > cc.quadrature.MAX_LEVEL - cc.stieltjes._first_level(m)
+    assert all(s[1] == lipschitz for s in maps)
+
+
 def test_custom_sd_takes_exponents_positionally():
     # benchmarks/workloads.py builds its family-less semicircle this way
     f = lambda w: np.sqrt(np.maximum(w * (1.0 - w), 0.0))

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,47 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) \
             == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("field, case", [
+        ("sites", "beyond-float"),
+        ("spectral_density.alpha", "beyond-float"),
+        ("config", "too-long-to-parse"),
+        ("config", "directory"),
+        ("config", "not-utf8"),
+        ("spectral_density.samples_path", "directory"),
+        ("spectral_density.samples_path", "not-utf8"),
+        ("spectral_density.samples_path", "cell-beyond-csv-limit"),
+    ])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, field, case):
+        # JSON integers are exact, so one beyond the float range parses
+        # and then overflows float(); past 4300 digits it does not parse.
+        # The csv module rejects a cell longer than 131072 characters.
+        samples = tmp_path / "samples.csv"
+        samples.write_text("0.0,0.0\n0.5,0.5\n1.0,1.0\n")
+        sd = ({"family": "tabulated", "samples_path": "samples.csv"}
+              if field.endswith("samples_path") else None)
+        path = Path(ohmic_config(tmp_path, **({"spectral_density": sd} if sd else {})))
+        target = samples if sd else path
+        if case == "beyond-float":
+            key = field.rsplit(".", 1)[-1]
+            text = re.sub(f'"{key}": [0-9.]+', f'"{key}": 1{"0" * 400}',
+                          path.read_text())
+            path.write_text(text)
+            assert "0" * 400 in text
+        elif case == "too-long-to-parse":
+            path.write_text(path.read_text().replace('"sites": 10',
+                                                     f'"sites": 1{"0" * 5000}'))
+        elif case == "cell-beyond-csv-limit":
+            samples.write_text(f"0.0,0.0\n0.5,0.{'5' * 200000}\n1.0,1.0\n")
+        elif case == "directory":
+            target.unlink()
+            target.mkdir()
+        else:
+            target.write_bytes(target.read_bytes().replace(b"1", b"1\xff", 1))
+        for command in ("validate", "run"):
+            assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+            assert f"config error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "chain.csv").exists()
 
     @pytest.mark.parametrize("how", ["config", "override"])
     def test_sites_beyond_the_order_limit_exit_2(self, tmp_path, capsys, how):

@@ -259,6 +259,77 @@ class TestVectorIntegrand:
             assert abs(cc.stieltjes_transform(m, z) - want) <= 1e-14 * abs(want)
 
 
+def _integrate_level_loop(f, a, b, rel_tol=1e-13, with_distances=False):
+    """``quadrature.integrate`` as its own level loop, before it ran
+    through ``quadrature._refine``: every component is summed at every
+    level, and a mask keeps the converged ones."""
+    if not b > a:
+        return 0.0, True
+
+    def sums(level, added):
+        if with_distances:
+            x, da, db, w = quadrature._every_node(level, a, b, added)
+            vals = np.asarray(f(x, da, db))
+        else:
+            x, w = quadrature.map_nodes(level, a, b, added)
+            vals = np.asarray(f(x))
+        return np.sum(vals * w, axis=-1), np.sum(np.abs(vals) * w, axis=-1)
+
+    cur, l1 = sums(quadrature.MIN_LEVEL, False)
+    value = cur
+    done = np.zeros(np.shape(cur), bool)
+    for level in range(quadrature.MIN_LEVEL + 1, quadrature.MAX_LEVEL + 1):
+        prev = cur
+        part, part_l1 = sums(level, True)
+        cur = 0.5 * prev + part
+        l1 = 0.5 * l1 + part_l1
+        ok = ~done & (np.abs(cur - prev) <= rel_tol * np.abs(cur) + 1e-15 * l1 + 1e-300)
+        value = np.where(ok, cur, value)
+        done |= ok
+        if done.all():
+            return value[()], True
+    return np.where(done, value, cur)[()], False
+
+
+# Stieltjes arguments: off the support, near it and almost on it.
+_Z = np.array([[2.0, 0.3 + 0.1j], [-1.0 - 1e-3j, 0.999 + 1e-9j]])
+
+
+class TestOneRefinementLoop:
+    """``integrate`` through ``quadrature._refine`` gives the numbers and
+    the flag of its former level loop, bit for bit."""
+
+    CASES = {
+        "scalar": (lambda x: x**-0.9 + np.cos(x), 0.0, 1.0, {}),
+        "scalar_oscillating": (lambda x: np.sin(60.0 * x) ** 2, 0.3, 1.6, {}),
+        "leading_shape": (lambda x: np.array([
+            [np.cos(x), x**-0.9, np.log(x) * x**3],
+            [np.sin(60.0 * x) ** 2, (x - 0.5) ** 3, np.cos(3000.0 * x)]]),
+            0.0, 1.0, {"rel_tol": 1e-11}),
+        "complex": (lambda t: np.sqrt(1.0 - t * t) / (_Z[..., None] - t), -1.0, 1.0, {}),
+        "with_distances": (lambda x, da, db: da**-0.5 * np.log(db) + x,
+                           0.3, 1.6, {"with_distances": True}),
+    }
+
+    @pytest.mark.parametrize("max_level", [8, quadrature.MAX_LEVEL])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bit_identical_to_the_level_loop(self, name, max_level, monkeypatch):
+        # at level 8 some components stop unconverged
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", max_level)
+        f, a, b, kw = self.CASES[name]
+        got, ok = quadrature.integrate(f, a, b, **kw)
+        want, want_ok = _integrate_level_loop(f, a, b, **kw)
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+        assert ok == want_ok
+
+    def test_some_cases_stop_unconverged(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", 8)
+        flags = [quadrature.integrate(f, a, b, **kw)[1]
+                 for f, a, b, kw in self.CASES.values()]
+        assert not all(flags) and any(flags)
+
+
 def _familyless(sd):
     """The same evaluator and support without the weight families."""
     return cc.custom_sd(sd.evaluator, sd.support)

@@ -430,6 +430,88 @@ class TestRowRefinement:
         assert _unconverged_rows(caplog) == len(xs)
 
 
+def _reducer_level_loop(m, x):
+    """``stieltjes._reducer_lipschitz`` as its own level loop, before it ran
+    through ``quadrature._refine``: an index array of active rows, and the
+    warning from the for-else branch."""
+    a, b = m.hull
+    delta = stieltjes.PV_BAND_FRACTION * np.minimum(x - a, b - x)
+    mu_x = np.asarray(m.weight(x), float)
+
+    out = np.empty(len(x))
+    active = np.arange(len(x))
+    cur = None
+    for level in range(stieltjes._first_level(m), quadrature.MAX_LEVEL + 1):
+        t, w = quadrature.map_nodes(level, a, b, added=cur is not None)
+        part = stieltjes._pv_sums(m, x[active], mu_x[active], delta[active], t,
+                                  np.asarray(m.weight(t), float), w)
+        if cur is None:
+            cur = part
+            continue
+        prev = cur
+        cur = 0.5 * prev + part
+        change = np.abs(cur - prev) / (np.abs(cur) + np.abs(mu_x[active]) + 1e-300)
+        done = change < stieltjes.PV_REL_TOL
+        out[active[done]] = cur[done]
+        active, cur, change = active[~done], cur[~done], change[~done]
+        if not len(active):
+            break
+    else:
+        out[active] = cur
+        stieltjes._log.warning(
+            "Lipschitz reducer not converged at level %d on %d of %d "
+            "distinct points: max relative change %.3g, required < %.3g",
+            quadrature.MAX_LEVEL, len(active), len(x), change.max(),
+            stieltjes.PV_REL_TOL)
+    return 2.0 * mu_x * np.log((x - a) / (b - x)) - 2.0 * out
+
+
+class TestReducerRefinementLoop:
+    """The Lipschitz reducer through ``quadrature._refine`` gives the
+    numbers and the warning of its former level loop, bit for bit."""
+
+    MEASURES = {
+        "semicircle_0.3_2.1": lambda: cc.measure_from_sd(
+            _familyless_semicircle(0.3, 2.1, 0.7), 0.0),
+        "semicircle_0_1.3": lambda: cc.measure_from_sd(
+            _familyless_semicircle(0.0, 1.3, 0.7), 0.0),
+        "semicircle_0_1.3_q1": lambda: cc.measure_from_sd(
+            _familyless_semicircle(0.0, 1.3, 0.7), 1.0),
+        # kinked at every sample: no row converges by the last level
+        "tabulated_sqrt": lambda: cc.measure_from_sd(cc.tabulated_sd(
+            np.linspace(0.0, 1.0, 201), np.sqrt(np.linspace(0.0, 1.0, 201))), 0.0),
+    }
+
+    @staticmethod
+    def _rows(m, kind):
+        lo, hi = stieltjes.evaluation_band(m)
+        if kind == "grid":
+            return np.linspace(lo, hi, 257)
+        t = quadrature.map_nodes(7, *m.hull)[0]
+        return t[(t >= lo) & (t <= hi)]
+
+    @staticmethod
+    def _run(route, m, xs, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="chaincast.stieltjes"):
+            phi = route(m, xs)
+        return phi, [r.getMessage() for r in caplog.records
+                     if r.name == "chaincast.stieltjes"]
+
+    @pytest.mark.parametrize("kind", ["grid", "nodes"])
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_bit_identical_to_the_level_loop(self, name, kind, caplog):
+        m = self.MEASURES[name]()
+        xs = self._rows(m, kind)
+        got, got_log = self._run(stieltjes._reducer_lipschitz, m, xs, caplog)
+        want, want_log = self._run(_reducer_level_loop, m, xs, caplog)
+        np.testing.assert_array_equal(got, want)
+        assert got_log == want_log
+        if name == "tabulated_sqrt":
+            assert got_log == [got_log[0]]
+            assert f"on {len(xs)} of {len(xs)} distinct points" in got_log[0]
+
+
 def _unconverged_rows(caplog) -> int:
     """Rows the Lipschitz reducer's warning reports as unconverged."""
     found = [re.search(r"on (\d+) of \d+ distinct points", r.getMessage())
