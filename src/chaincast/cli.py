@@ -120,7 +120,8 @@ def _load(path: Path, fld: str, parse: Callable):
     try:
         return parse(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, csv.Error) as exc:
-        raise ConfigError(fld, f"cannot read {path}: {type(exc).__name__}: "
+        verb = "read" if isinstance(exc, OSError) else "parse"
+        raise ConfigError(fld, f"cannot {verb} {path}: {type(exc).__name__}: "
                           f"{exc}") from exc
 
 

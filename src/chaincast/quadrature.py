@@ -143,21 +143,25 @@ def _refine(part, first, accept):
     sum over the odd-k nodes it adds (``map_nodes(..., added=True)``).
     ``part(level, added, rows)`` returns the sums over the level's nodes
     (over those it adds when ``added``) for the components ``rows``, one
-    per entry of the first axis; ``rows`` is ``slice(None)`` at ``first``
-    and an index array after.  A component whose sums ``cur`` pass
-    ``accept(cur, prev, rows)`` against the previous level's keeps them
-    and leaves the active rows, so each converges on its own, exactly as
-    if it had been refined alone.
+    per entry of the first axis; ``rows`` is ``slice(None)`` until a
+    component stops and an index array after.  A component whose sums
+    ``cur`` pass ``accept(cur, prev, rows)`` against the previous level's
+    keeps them and leaves the active rows, so each converges on its own,
+    exactly as if it had been refined alone.
 
     Returns ``(sums, never)``: every component's sums, and the indices of
     those still active at ``MAX_LEVEL``, which keep that level's sums.
     """
     out = part(first, False, slice(None))
     active = np.arange(len(out))
+    rows = slice(None)  # the active rows, a view until one of them stops
     for level in range(first + 1, MAX_LEVEL + 1):
-        prev = out[active]
-        out[active] = cur = 0.5 * prev + part(level, True, active)
-        active = active[~accept(cur, prev, active)]
+        prev = out[rows]
+        cur = 0.5 * prev + part(level, True, rows)
+        stop = accept(cur, prev, rows)
+        out[rows] = cur  # only after accept: prev may be a view of out
+        if np.count_nonzero(stop):
+            rows = active = active[~stop]
         if not len(active):
             break
     return out, active
@@ -199,7 +203,7 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
         s = np.sum(vals * w, axis=-1)
         shape = s.shape
         l1 = np.sum(np.abs(vals) * w, axis=-1)
-        return np.array([s.reshape(-1), l1.reshape(-1)]).T[rows]
+        return np.array([s, l1]).reshape(2, -1).T[rows]
 
     def accept(cur, prev, rows):
         return (np.abs(cur[:, 0] - prev[:, 0])

@@ -71,39 +71,21 @@ def test_install_then_uninstall_restores_originals(tracing):
 def test_traced_reducer_records_node_maps(tracing):
     # ``kernel_cells`` counts the map_nodes spans directly under the
     # Lipschitz reducer's span: map_nodes must stay a plain function that
-    # ``install`` wraps, whatever cache stands behind it.
+    # ``install`` wraps, whatever cache stands behind it, and the private
+    # refinement loop the reducer's levels run through must put no traced
+    # span between the two.
     for layer in tracing.LAYERS:
         importlib.import_module(f"chaincast.{layer}")
     quadrature = sys.modules["chaincast.quadrature"]
     original = quadrature.map_nodes
-    m = cc.Measure(lambda x: np.sqrt(np.maximum(x * (1.0 - x), 0.0)), ((0.0, 1.0),))
-    tracer = tracing.Tracer()
-    restore = tracing.install(tracer)
-    try:
-        assert quadrature.map_nodes is not original
-        assert quadrature.map_nodes.__wrapped__ is original
-        sys.modules["chaincast.stieltjes"].reducer(m, np.linspace(0.1, 0.9, 9))
-    finally:
-        tracing.uninstall(restore)
-    lipschitz = [s[0] for s in tracer.spans if s[3] == "stieltjes.reducer.lipschitz"]
-    assert len(lipschitz) == 1
-    assert [s for s in tracer.spans
-            if s[1] == lipschitz[0] and s[3] == "quadrature.map_nodes"]
-    assert tracing.aggregate(tracer.spans, 1)["stieltjes.reducer.kernel_cells"] > 0
-
-
-def test_reducer_node_maps_are_direct_children(tracing):
-    # The reducer's levels run through a private refinement loop; a traced
-    # span between the reducer and map_nodes would hide the maps from
-    # ``kernel_cells``, which reads only the reducer's direct children.
-    for layer in tracing.LAYERS:
-        importlib.import_module(f"chaincast.{layer}")
     m = cc.Measure(lambda x: np.sqrt(np.maximum((x - 0.3) * (2.1 - x), 0.0)),
                    ((0.3, 2.1),))
     xs = np.linspace(*cc.stieltjes.evaluation_band(m), 257)
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
+        assert quadrature.map_nodes is not original
+        assert quadrature.map_nodes.__wrapped__ is original
         sys.modules["chaincast.stieltjes"].reducer(m, xs)
     finally:
         tracing.uninstall(restore)
@@ -124,6 +106,7 @@ def test_reducer_node_maps_are_direct_children(tracing):
     # the band ends run to the last level
     assert len(maps) > cc.quadrature.MAX_LEVEL - cc.stieltjes._first_level(m)
     assert all(s[1] == lipschitz for s in maps)
+    assert tracing.aggregate(tracer.spans, 1)["stieltjes.reducer.kernel_cells"] > 0
 
 
 def test_custom_sd_takes_exponents_positionally():
