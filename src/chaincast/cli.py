@@ -39,7 +39,6 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -113,7 +112,7 @@ def _number(val, fld: str, integer: bool = False):
     return int(num) if integer else num
 
 
-def _load(path: Path, fld: str, parse: Callable):
+def _load(path: Path, fld: str, parse):
     """parse applied to the file's UTF-8 text; a file that is missing,
     unreadable, not UTF-8 or that parse rejects raises ConfigError naming
     fld."""
@@ -121,8 +120,7 @@ def _load(path: Path, fld: str, parse: Callable):
         return parse(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, csv.Error) as exc:
         verb = "read" if isinstance(exc, OSError) else "parse"
-        raise ConfigError(fld, f"cannot {verb} {path}: {type(exc).__name__}: "
-                          f"{exc}") from exc
+        raise ConfigError(fld, f"cannot {verb} {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _build_sd(spec: dict, base_dir: Path) -> SpectralDensity:

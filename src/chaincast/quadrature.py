@@ -14,9 +14,9 @@ integrands of the distances evaluate cleanly.
 
 The levels are nested, and one private loop (``_refine``, which states
 the rule) refines the sums of both ``integrate`` and the Lipschitz
-reducer; each calls its integrand only at the nodes a level adds.  The integrand may return an array of shape
-``(..., nodes)``; every component then converges on its own, exactly as
-if it had been integrated alone.
+reducer; each calls its integrand only at the nodes a level adds.  The
+integrand may return an array of shape ``(..., nodes)``; every component
+then converges on its own, exactly as if it had been integrated alone.
 
 Next to a nonzero endpoint the nodes cluster closer than the spacing of
 doubles there, so about half of each level rounds onto a few positions
@@ -153,8 +153,7 @@ def _refine(part, first, accept):
     those still active at ``MAX_LEVEL``, which keep that level's sums.
     """
     out = part(first, False, slice(None))
-    active = np.arange(len(out))
-    rows = slice(None)  # the active rows, a view until one of them stops
+    active, rows = np.arange(len(out)), slice(None)  # rows: a view until one stops
     for level in range(first + 1, MAX_LEVEL + 1):
         prev = out[rows]
         cur = 0.5 * prev + part(level, True, rows)
@@ -200,10 +199,9 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
         else:
             x, w = map_nodes(level, a, b, added)
             vals = np.asarray(f(x))
-        s = np.sum(vals * w, axis=-1)
-        shape = s.shape
-        l1 = np.sum(np.abs(vals) * w, axis=-1)
-        return np.array([s, l1]).reshape(2, -1).T[rows]
+        shape = vals.shape[:-1]
+        both = np.array([np.sum(vals * w, axis=-1), np.sum(np.abs(vals) * w, axis=-1)])
+        return both.reshape(2, -1).T[rows]
 
     def accept(cur, prev, rows):
         return (np.abs(cur[:, 0] - prev[:, 0])
