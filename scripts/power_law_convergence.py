@@ -44,9 +44,9 @@ def main():
             gaps = ", ".join(f"{g:.2e}" for g in agg)
             print(f"  moment gap to terminal density (max over k <= 4), "
                   f"n = 1..{len(agg)}: {gaps}")
-        for n in range(len(rep.alpha)):
-            rows.append({"s": s, "n": n, "alpha": rep.alpha[n],
-                         "beta": rep.beta[n],
+        for n in range(rep.chain.sites):
+            rows.append({"s": s, "n": n, "alpha": rep.chain.alpha[n],
+                         "beta": rep.chain.beta[n],
                          "alpha_deviation": rep.alpha_deviation[n]})
 
     if args.csv:

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chainmap import chain_coefficients, measure_from_sd
+from .chainmap import measure_from_sd
 from .convergence import convergence_report
 from .errors import (
     BracketFailure,
@@ -62,7 +62,6 @@ from .measures import (
     tabulated_sd,
 )
 from .orthopoly import MAX_ORDER
-from .residual import ResidualDensity
 from .stieltjes import find_gap_zero
 
 EXIT_OK = 0
@@ -302,11 +301,11 @@ def run(config: JobConfig) -> int:
     for out in map(Path, (config.chain_csv, config.residual_csv, config.report_json)):
         out.parent.mkdir(parents=True, exist_ok=True)
         out.unlink(missing_ok=True)
-    cc = chain_coefficients(config.sd, config.mapping_q, config.sites)
-    _write_chain_csv(config.chain_csv, cc, config.sd.support)
-
-    residual_columns: dict[int, np.ndarray] = {}
     positive_orders = [n for n in config.residual_orders if n > 0]
+    report = convergence_report(config.sd, config.mapping_q, config.sites,
+                                residual_orders=max(positive_orders, default=0))
+    _write_chain_csv(config.chain_csv, report.chain, config.sd.support)
+
     if positive_orders:
         if not config.sd.gapless:
             # Unsupported whether or not the zero can be located.
@@ -319,11 +318,8 @@ def run(config: JobConfig) -> int:
             print("unsupported: residual densities of a gapped spectral "
                   f"density (Stieltjes transform {where})", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        rd = ResidualDensity.build(config.sd, int(config.mapping_q),
-                                   max(positive_orders))
-        clipped = rd.clipped_range()
+        clipped = report.residual.clipped_range()
     else:
-        rd = None
         clipped = _j0_sample_range(config.sd)
     lo, hi = clipped
     if config.grid_range is not None:
@@ -338,21 +334,19 @@ def run(config: JobConfig) -> int:
             lo, hi = clipped
     grid = np.linspace(lo, hi, config.grid_points)
     # J0 is always emitted alongside any requested orders.
-    residual_columns[0] = np.asarray(config.sd(grid), float)
+    residual_columns = {0: np.asarray(config.sd(grid), float)}
     for n in positive_orders:
-        residual_columns[n] = np.asarray(rd(n, grid), float)
+        residual_columns[n] = np.asarray(report.residual(n, grid), float)
     _write_residual_csv(config.residual_csv, grid, residual_columns,
                         config.mapping_q, clipped)
 
-    report = convergence_report(config.sd, config.mapping_q, config.sites,
-                                residual_orders=max(positive_orders, default=0))
     payload = {
         "szego": str(report.szego),
         "q": report.q,
         "alpha_limit": report.alpha_limit,
         "beta_limit": report.beta_limit,
-        "alpha": [float(v) for v in report.alpha],
-        "beta": [float(v) for v in report.beta],
+        "alpha": [float(v) for v in report.chain.alpha],
+        "beta": [float(v) for v in report.chain.beta],
         "alpha_deviation": [float(v) for v in report.alpha_deviation],
         "beta_deviation": [float(v) for v in report.beta_deviation],
         "moment_gaps": {str(n): [float(v) for v in vals]

@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .chainmap import chain_coefficients, mapping_kernel, measure_from_sd
+from .chainmap import (
+    ChainCoefficients,
+    chain_coefficients,
+    mapping_kernel,
+    measure_from_sd,
+)
 from .errors import NotInSzegoClass, UnsupportedMapping
 from .measures import (
     PowerLawWeight,
@@ -41,6 +46,9 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
+
+# Moments C_0..C_8 of each J_n enter the report's terminal_moment_gap.
+_MOMENT_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -165,18 +173,22 @@ def _terminal(J: SpectralDensity, q: int) -> SpectralDensity:
 class ConvergenceReport:
     """Coefficient limits, deviations, and weak-convergence moment gaps.
 
-    alpha_deviation[n] = |alpha_n - alpha_inf| (n = 0..); beta_deviation[n]
-    starts at n = 1 (beta_0 carries the mass, not chain structure).
-    terminal_moment_gap[n] holds |C_k(J_n) - C_k(J_T)| for k = 0..K over the
-    computed residual orders n = 1...  hopping_ratio is the observable
+    chain is the job's one chain mapping (alpha_n, beta_n and the site
+    energies); residual is the evaluator of J_0..J_residual_orders built
+    for the report, or None where no residual densities exist (0 < q < 1,
+    a gapped J, or no orders asked for).  alpha_deviation[n] =
+    |alpha_n - alpha_inf| (n = 0..); beta_deviation[n] starts at n = 1
+    (beta_0 carries the mass, not chain structure).
+    terminal_moment_gap[n] holds |C_k(J_n) - C_k(J_T)| for k = 0..8 over
+    the computed residual orders n = 1...  hopping_ratio is the observable
     alpha_n / sqrt(beta_{n+1}), reported for every input without any claim
     attached (it appears to settle even off the Szego class).
     """
 
     szego: SzegoVerdict
     q: float
-    alpha: np.ndarray
-    beta: np.ndarray
+    chain: ChainCoefficients
+    residual: ResidualDensity | None = None
     alpha_limit: float | None = None
     beta_limit: float | None = None
     alpha_deviation: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -210,43 +222,45 @@ def _density_moments(densities, lo: float, hi: float, k_max: int) -> np.ndarray:
 
 
 def convergence_report(J: SpectralDensity, q: float, n: int,
-                       residual_orders: int = 4,
-                       moment_order: int = 8) -> ConvergenceReport:
-    """Assemble coefficients, Szego verdict, limits and moment gaps.
+                       residual_orders: int = 4) -> ConvergenceReport:
+    """Assemble the chain, residual densities, Szego verdict, limits and
+    moment gaps of one J: the one place a job builds its chain and its
+    residual density.
 
-    Moment gaps compare int w^k J_m(w) dw with the terminal density's
-    moments for m = 1..min(residual_orders, 6); they are only computed for
-    q in {0, 1} on Szego-class inputs (elsewhere there is no terminal
-    density to compare against).  All orders and moments share one node
-    set: a single vector quadrature evaluates the terminal density and
-    every J_m once per node, so the weight, the reducer and the P and Q
-    tables are evaluated once per node set.
+    The chain (n sites) is built first, so a J whose chain mapping raises
+    does so before any Szego warning is logged.  The residual density
+    evaluator of J_1..J_residual_orders is built for q in {0, 1} whenever
+    residual_orders >= 1 and J is gapless, in class or not, so callers can
+    sample it.  Moment gaps compare int w^k J_m(w) dw, k = 0..8, with the
+    terminal density's moments for m = 1..min(residual_orders, 6); they
+    are only computed on Szego-class inputs (elsewhere there is no
+    terminal density to compare against).  All orders and moments share
+    one node set: a single vector quadrature evaluates the terminal
+    density and every J_m once per node, so the weight, the reducer and
+    the P and Q tables are evaluated once per node set.
     """
+    chain = chain_coefficients(J, q, n)
+    rd = (ResidualDensity.build(J, int(q), residual_orders)
+          if q in (0.0, 1.0) and residual_orders >= 1 and J.gapless else None)
     verdict = szego_check(J, q)
-    cc = chain_coefficients(J, q, n)
-    alpha, beta = cc.alpha, cc.beta
-    ratio = alpha / cc.E4
-
     if not verdict.in_class:
-        return ConvergenceReport(szego=verdict, q=q, alpha=alpha, beta=beta,
-                                 hopping_ratio=ratio)
+        return ConvergenceReport(szego=verdict, q=q, chain=chain, residual=rd,
+                                 hopping_ratio=chain.alpha / chain.E4)
 
     a_inf, b_inf = _limits(J, q)
     gaps: dict[int, np.ndarray] = {}
-    if q in (0.0, 1.0) and residual_orders >= 1:
+    if rd is not None:
         orders = min(residual_orders, 6)
-        rd = ResidualDensity.build(J, int(q), orders)
         jt = _terminal(J, int(q))
         glo, ghi = rd.clipped_range()
         densities = [jt] + [lambda w, m=m: rd(m, w) for m in range(1, orders + 1)]
-        c = _density_moments(densities, glo, ghi, moment_order)
-        for m in range(1, orders + 1):
-            gaps[m] = np.abs(c[m] - c[0])
+        c = _density_moments(densities, glo, ghi, _MOMENT_ORDER)
+        gaps = {m: np.abs(c[m] - c[0]) for m in range(1, orders + 1)}
     return ConvergenceReport(
-        szego=verdict, q=q, alpha=alpha, beta=beta,
+        szego=verdict, q=q, chain=chain, residual=rd,
         alpha_limit=a_inf, beta_limit=b_inf,
-        alpha_deviation=np.abs(alpha - a_inf),
-        beta_deviation=np.abs(beta[1:] - b_inf),
+        alpha_deviation=np.abs(chain.alpha - a_inf),
+        beta_deviation=np.abs(chain.beta[1:] - b_inf),
         terminal_moment_gap=gaps,
-        hopping_ratio=ratio,
+        hopping_ratio=chain.alpha / chain.E4,
     )

@@ -196,9 +196,11 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     The integral runs over the nested tanh-sinh levels from
     ``_first_level`` through ``quadrature._refine``, one row per x.  The
     columns t of each level are its distinct positions with summed weights
-    (``quadrature.map_nodes``), sorted as ``_pv_sums`` needs, and callers
-    hand in distinct rows x: ``quadrature.integrate`` and the sampling
-    grids evaluate each position once.  A row whose relative change falls
+    (``quadrature.map_nodes``), sorted as ``_pv_sums`` needs, and
+    ``reducer`` hands in distinct rows x in increasing order, so each
+    position is evaluated once however often its caller repeats it (the
+    every-node quadrature of ``_real_axis_integral`` does), and the warning
+    counts distinct positions.  A row whose relative change falls
     below PV_REL_TOL keeps that level's value and drops out.  For a smooth
     mu nearly every row stops at the first comparison; only rows that do
     not settle (on an even grid, those within about 1e-12 of the span from
@@ -260,7 +262,7 @@ def _reducer_derivative_form(m: Measure, x: np.ndarray) -> np.ndarray:
 def reducer(m: Measure, x):
     """phi(d-mu; x) at interior points of a gapless measure's support: the
     family closed form when the measure has one, otherwise the Lipschitz
-    route."""
+    route on the distinct values of x."""
     if not m.gapless:
         raise GappedMeasure("reducer requires a gapless measure")
     if m.point_masses:
@@ -272,7 +274,8 @@ def reducer(m: Measure, x):
         if not m.bounded:
             raise UnsupportedMeasure(
                 "numeric reducer needs bounded support; use an analytic family")
-        vals = _reducer_lipschitz(m, xs)
+        xs, inverse = np.unique(xs, return_inverse=True)
+        vals = _reducer_lipschitz(m, xs)[inverse]
     vals = np.asarray(vals, float)
     return vals if np.ndim(x) else float(vals[0])
 

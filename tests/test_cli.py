@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chaincast as cc
-from chaincast import cli
+from chaincast import cli, orthopoly
 
 
 def write_config(path, payload):
@@ -237,6 +237,30 @@ class TestRun:
         assert report["szego"] == "in_class"
         assert report["alpha_limit"] == pytest.approx(0.5)
         assert report["provenance"]["tool"] == "chaincast"
+
+    def test_one_chain_and_one_residual_build_per_job(self, tmp_path,
+                                                      monkeypatch):
+        # A family-less J takes the generic recurrence: once for the chain,
+        # once for the residual density, both shared with the report.
+        (tmp_path / "samples.csv").write_text(
+            "".join(f"{w / 10},{w / 10}\n" for w in range(11)))
+        path = write_config(tmp_path / "job.json", {
+            "spectral_density": {"family": "tabulated",
+                                 "samples_path": "samples.csv"},
+            "mapping_q": 0, "sites": 8, "residual_orders": [1, 2, 3],
+            "grid": {"points": 16}})
+        calls = []
+        generic = orthopoly._generic_coefficients
+
+        def counted(m, n):
+            calls.append(n)
+            return generic(m, n)
+
+        monkeypatch.setattr(orthopoly, "_generic_coefficients", counted)
+        assert cli.main(["run", "--config", path]) == cli.EXIT_OK
+        assert sorted(calls) == [4, 9]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert sorted(report["moment_gaps"]) == ["1", "2", "3"]
 
     def test_chain_csv_round_trip_is_exact(self, tmp_path):
         path = ohmic_config(tmp_path, residual_orders=[])

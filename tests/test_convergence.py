@@ -192,7 +192,8 @@ class TestConvergenceReport:
         assert rep.alpha_limit is None and rep.beta_limit is None
         assert rep.alpha_deviation.size == 0
         assert not rep.terminal_moment_gap
-        np.testing.assert_allclose(rep.alpha, 2 * np.arange(8.0) + 2, rtol=1e-11)
+        np.testing.assert_allclose(rep.chain.alpha, 2 * np.arange(8.0) + 2,
+                                   rtol=1e-11)
         # the footnote observable is still reported
         assert rep.hopping_ratio.size == 8
 
@@ -221,9 +222,8 @@ class TestConvergenceReport:
         # computed before they shared a node set.
         sd = (cc.piecewise_uniform_sd([(0.2, 1.4, 0.7)]) if family == "flat"
               else cc.power_law_sd(1.0, 0.1, 1.0))
-        orders, k_max = 3, 4
-        rep = cc.convergence_report(sd, float(q), 6, residual_orders=orders,
-                                    moment_order=k_max)
+        orders, k_max = 3, 8
+        rep = cc.convergence_report(sd, float(q), 6, residual_orders=orders)
         rd = cc.ResidualDensity.build(sd, q, orders)
         jt = cc.terminal_sd(sd, q)
         lo, hi = rd.clipped_range()
@@ -258,14 +258,22 @@ class TestConvergenceReport:
         a_inf, b_inf = cc.asymptotic_limits(sd, 0.0)
         assert (rep.alpha_limit, rep.beta_limit) == (a_inf, b_inf)
         chain = cc.chain_coefficients(sd, 0.0, 8)
-        np.testing.assert_array_equal(rep.alpha, chain.alpha)
-        np.testing.assert_array_equal(rep.beta, chain.beta)
+        for name in ("alpha", "beta", "E1", "E2", "E3", "E4"):
+            np.testing.assert_array_equal(getattr(rep.chain, name),
+                                          getattr(chain, name))
+        np.testing.assert_array_equal(rep.chain.rc.alpha, chain.rc.alpha)
+        np.testing.assert_array_equal(rep.chain.rc.beta, chain.rc.beta)
+        assert (rep.chain.q, rep.chain.E5) == (chain.q, chain.E5)
         np.testing.assert_array_equal(rep.alpha_deviation,
                                       np.abs(chain.alpha - a_inf))
         np.testing.assert_array_equal(rep.beta_deviation,
                                       np.abs(chain.beta[1:] - b_inf))
         np.testing.assert_array_equal(rep.hopping_ratio, chain.alpha / chain.E4)
         rd = cc.ResidualDensity.build(sd, 0, 2)
+        assert rep.residual.clipped_range() == rd.clipped_range()
+        grid = np.linspace(*rd.clipped_range(), 33)
+        for m in (0, 1, 2):
+            np.testing.assert_array_equal(rep.residual(m, grid), rd(m, grid))
         c = convergence._density_moments(
             [cc.terminal_sd(sd, 0)] + [lambda w, m=m: rd(m, w) for m in (1, 2)],
             *rd.clipped_range(), 8)
@@ -277,4 +285,4 @@ class TestConvergenceReport:
     def test_gapped_report(self, gapped_sd):
         rep = cc.convergence_report(gapped_sd, 0.0, 6)
         assert str(rep.szego) == "out_of_class(gapped)"
-        np.testing.assert_allclose(rep.alpha, 1.5, atol=1e-11)
+        np.testing.assert_allclose(rep.chain.alpha, 1.5, atol=1e-11)

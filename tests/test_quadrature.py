@@ -350,8 +350,7 @@ _FLAG_CALLERS = {
     "convergence_report": (
         "chaincast.convergence", 1,
         lambda: cc.convergence_report(cc.power_law_sd(1.0, 0.1, 1.0), 0.0, 6,
-                                      residual_orders=2, moment_order=2,
-                                      ).terminal_moment_gap),
+                                      residual_orders=2).terminal_moment_gap),
     "perron_invert": (
         "chaincast.stieltjes", 2,
         lambda: cc.perron_invert(cc.semicircle_measure(), 0.3, 1e-3)),

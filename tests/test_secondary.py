@@ -162,7 +162,7 @@ class TestSequenceDensity:
         assert np.array_equal(seq.density(2, xs.copy()), first[1])
         assert calls == [17]
         # a changed grid, even changed in place, is evaluated afresh
-        xs[0] = 0.2
+        xs[0] = 0.12
         seq.density(1, xs)
         assert calls == [17, 17]
         fresh = cc.SecondarySequence.build(plain, 3, mode="beta_normalized")

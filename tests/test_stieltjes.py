@@ -335,6 +335,25 @@ class TestRowRefinement:
         for x in rows + cols:
             assert np.all(np.diff(x) > 0.0)
 
+    def test_transform_of_member_hands_distinct_rows(self, monkeypatch):
+        # S(z) integrates every tanh-sinh node, coinciding positions
+        # included; the reducer evaluates each position once
+        seq = cc.SecondarySequence.build(
+            cc.measure_from_sd(_familyless_semicircle(0.3, 2.1, 0.7), 0.0), 2,
+            mode="beta_normalized")
+        rows = []
+        route = stieltjes._reducer_lipschitz
+
+        def lipschitz(m, x):
+            rows.append(x)
+            return route(m, x)
+
+        monkeypatch.setattr(stieltjes, "_reducer_lipschitz", lipschitz)
+        cc.stieltjes_transform(seq.member_measure(1), 3.0)
+        assert rows
+        for x in rows:
+            assert len(np.unique(x)) == len(x)
+
     def test_only_unconverged_rows_refine(self, pv_calls, caplog):
         m = cc.measure_from_sd(_familyless_semicircle(0.3, 2.1, 0.7), 0.0)
         xs = np.linspace(*stieltjes.evaluation_band(m), 4096)
