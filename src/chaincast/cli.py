@@ -20,9 +20,12 @@ spectral_density families: "power_law" and "power_law_exp_cutoff" take
 (s, alpha, omega_c); "tabulated" takes samples_path (CSV rows omega,J with
 strictly increasing omega); "piecewise" takes intervals [[lo, hi, height],
 ...] and may be gapped.  sites and each residual order are at most
-orthopoly.MAX_ORDER - 1 = 199.
+orthopoly.MAX_ORDER - 1 = 199.  A family's parameter rules are its
+constructor's; this module only parses.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 unsupported
+Exit codes: 0 success, 2 config error, 3 numerical failure (arithmetic
+overflow included, and a residual CSV or report that would hold a
+non-finite number, which is then not written), 4 unsupported
 request (residual densities of a gapped measure, or 0 < q < 1, or a
 reducer that is unavailable for the measure).  The report's moment_gaps
 hold orders 1..max(residual_orders), at most 6.
@@ -50,7 +53,9 @@ from .errors import (
     ChaincastError,
     ConfigError,
     DivergentMoment,
+    DomainError,
     GappedMeasure,
+    IllConditioned,
     UnsupportedMapping,
     UnsupportedMeasure,
 )
@@ -122,6 +127,15 @@ def _load(path: Path, fld: str, parse):
         raise ConfigError(fld, f"cannot {verb} {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _construct(fld: str, maker, *args) -> SpectralDensity:
+    """maker(*args); the constructor decides what a valid J is, and its
+    DomainError is re-raised as a ConfigError naming fld."""
+    try:
+        return maker(*args)
+    except DomainError as exc:
+        raise ConfigError(fld, str(exc)) from exc
+
+
 def _build_sd(spec: dict, base_dir: Path) -> SpectralDensity:
     _require(isinstance(spec, dict), "spectral_density", "must be an object")
     unknown = set(spec) - _SD_KEYS
@@ -135,11 +149,8 @@ def _build_sd(spec: dict, base_dir: Path) -> SpectralDensity:
         s = _number(spec["s"], "spectral_density.s")
         alpha = _number(spec["alpha"], "spectral_density.alpha")
         omega_c = _number(spec.get("omega_c", 1.0), "spectral_density.omega_c")
-        _require(s > -1, "spectral_density.s", "must satisfy s > -1")
-        _require(alpha > 0, "spectral_density.alpha", "must be positive")
-        _require(omega_c > 0, "spectral_density.omega_c", "must be positive")
         maker = power_law_sd if family == "power_law" else power_law_exp_sd
-        return maker(s, alpha, omega_c)
+        return _construct("spectral_density", maker, s, alpha, omega_c)
     if family == "tabulated":
         _require("samples_path" in spec, "spectral_density.samples_path", "required")
         rows = []
@@ -152,15 +163,8 @@ def _build_sd(spec: dict, base_dir: Path) -> SpectralDensity:
                      f"row {row} needs omega,J")
             rows.append(tuple(_number(cell, "spectral_density.samples_path")
                               for cell in row[:2]))
-        _require(len(rows) >= 2, "spectral_density.samples_path", "need >= 2 samples")
-        omega = [r[0] for r in rows]
-        vals = [r[1] for r in rows]
-        _require(all(b > a for a, b in zip(omega, omega[1:])),
-                 "spectral_density.samples_path", "omega must be strictly increasing")
-        _require(all(v >= 0 for v in vals),
-                 "spectral_density.samples_path", "J samples must be nonnegative")
-        _require(omega[0] >= 0, "spectral_density.samples_path", "omega must be >= 0")
-        return tabulated_sd(omega, vals)
+        return _construct("spectral_density.samples_path", tabulated_sd,
+                          [r[0] for r in rows], [r[1] for r in rows])
     # piecewise
     _require("intervals" in spec, "spectral_density.intervals", "required")
     pieces = spec["intervals"]
@@ -170,17 +174,9 @@ def _build_sd(spec: dict, base_dir: Path) -> SpectralDensity:
     for i, piece in enumerate(pieces):
         _require(isinstance(piece, list) and len(piece) == 3,
                  f"spectral_density.intervals[{i}]", "must be [lo, hi, height]")
-        lo, hi, hgt = (_number(v, f"spectral_density.intervals[{i}]")
-                       for v in piece)
-        _require(hi > lo >= 0, f"spectral_density.intervals[{i}]",
-                 "needs 0 <= lo < hi")
-        _require(hgt >= 0, f"spectral_density.intervals[{i}]",
-                 "height must be nonnegative")
-        parsed.append((lo, hi, hgt))
-    parsed.sort()
-    for (_, hi, _), (lo2, _, _) in zip(parsed, parsed[1:]):
-        _require(lo2 > hi, "spectral_density.intervals", "intervals must be disjoint")
-    return piecewise_uniform_sd(parsed)
+        parsed.append(tuple(_number(v, f"spectral_density.intervals[{i}]")
+                            for v in piece))
+    return _construct("spectral_density.intervals", piecewise_uniform_sd, parsed)
 
 
 def validate(path: str | Path, q_override: float | None = None,
@@ -337,6 +333,8 @@ def run(config: JobConfig) -> int:
     residual_columns = {0: np.asarray(config.sd(grid), float)}
     for n in positive_orders:
         residual_columns[n] = np.asarray(report.residual(n, grid), float)
+    if not all(np.isfinite(col).all() for col in residual_columns.values()):
+        raise IllConditioned(f"{config.residual_csv}: a non-finite J_n on the grid")
     _write_residual_csv(config.residual_csv, grid, residual_columns,
                         config.mapping_q, clipped)
 
@@ -355,9 +353,12 @@ def run(config: JobConfig) -> int:
         "warnings": warnings,
         "provenance": {"tool": "chaincast", "version": __version__},
     }
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a non-finite number, which JSON cannot hold
+        raise IllConditioned(f"{config.report_json}: {exc}") from exc
     with open(config.report_json, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return EXIT_OK
 
 
@@ -394,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNSUPPORTED
     except ChaincastError as exc:  # every other domain error is numerical
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ArithmeticError as exc:  # overflow or division by zero mid-run
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -28,12 +28,7 @@ from .chainmap import (
     measure_from_sd,
 )
 from .errors import NotInSzegoClass, UnsupportedMapping
-from .measures import (
-    PowerLawWeight,
-    SemicircleWeight,
-    SpectralDensity,
-    WeightFamily,
-)
+from .measures import SemicircleWeight, SpectralDensity, WeightFamily
 from .residual import ResidualDensity
 
 __all__ = [
@@ -69,7 +64,7 @@ def szego_check(J: SpectralDensity, q: float) -> SzegoVerdict:
 
     Unbounded or gapped supports are classified immediately.  A measure
     with a family, c (x-A)^ea (B-x)^eb, is in class when c > 0, with the
-    closed-form integral pi [ln c + (ea + eb) ln((B-A)/4)].  Otherwise the
+    family's closed-form ``szego_integral()``.  Otherwise the
     integral is evaluated on shrinking endpoint exclusions
     delta_k = 10^-k (B-A), k = 2..6; the verdict is in_class when the
     increments between consecutive exclusions decay (geometric ratio < 0.95),
@@ -109,19 +104,10 @@ def szego_check(J: SpectralDensity, q: float) -> SzegoVerdict:
 
 
 def _family_verdict(fam: WeightFamily) -> SzegoVerdict:
-    """szego_check for a bounded family: with x - A = (B-A) sin^2(theta/2)
-    the integral is int_0^pi ln w dtheta, and each endpoint factor gives
-    int_0^pi ln((B-A) sin^2(theta/2)) dtheta = pi ln((B-A)/4)."""
-    if isinstance(fam, PowerLawWeight):
-        a, b, exponents = 0.0, fam.cut, fam.s
-    elif isinstance(fam, SemicircleWeight):
-        a, b, exponents = fam.a, fam.b, 1.0
-    else:  # UniformWeight, the one other family on a bounded support
-        a, b, exponents = fam.a, fam.b, 0.0
+    """szego_check for a bounded family, from its closed-form integral."""
     if not fam.c > 0:
         return SzegoVerdict(False, "log_divergence", integral=-math.inf)
-    return SzegoVerdict(True, integral=math.pi * (
-        math.log(fam.c) + exponents * math.log((b - a) / 4.0)))
+    return SzegoVerdict(True, integral=fam.szego_integral())
 
 
 def asymptotic_limits(J: SpectralDensity, q: float) -> tuple[float, float]:

@@ -14,7 +14,7 @@ evaluation at the support endpoints (clip/return 0 rather than raise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,8 +80,8 @@ class PointMass:
 # Analytic weight families: power law (shifted Jacobi), power law times an
 # exponential cutoff (Laguerre), semicircle (second-kind Chebyshev) and flat
 # (shifted Legendre).  Each knows its own recurrence coefficients and, when a
-# closed form exists, its reducer; the generic numerical paths consult only
-# a family's derivative.
+# closed form exists, its reducer; the bounded ones also know their Szego
+# integral.  The generic numerical paths consult only a family's derivative.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -124,8 +124,12 @@ class PowerLawWeight:
         y = np.asarray(x, float) / self.cut
         return 2.0 * self.c * self.cut**self.s * _power_law_pv(y, self.s)
 
-    def scaled(self, factor: float) -> "PowerLawWeight":
-        return PowerLawWeight(self.c * factor, self.s, self.cut)
+    def szego_integral(self) -> float:
+        """int_0^cut ln w(x) dx / sqrt(x (cut - x)) = pi (ln c + s ln(cut/4)),
+        for c > 0.  With x = cut sin^2(theta/2) the integral is
+        int_0^pi ln w dtheta, and int_0^pi ln(cut sin^2(theta/2)) dtheta =
+        pi ln(cut/4)."""
+        return math.pi * (math.log(self.c) + self.s * math.log(self.cut / 4.0))
 
 
 def _power_law_pv(y, s):
@@ -189,9 +193,6 @@ class PowerLawExpWeight:
             acc = acc - math.factorial(s - 1 - k) * y**k
         return 2.0 * self.c * self.scale**s * acc
 
-    def scaled(self, factor: float) -> "PowerLawExpWeight":
-        return PowerLawExpWeight(self.c * factor, self.s, self.scale)
-
     def tail(self) -> TailBound:
         return TailBound(rate=1.0 / self.scale, power=self.s)
 
@@ -225,8 +226,13 @@ class SemicircleWeight:
     def reducer(self, x):
         return 2.0 * math.pi * self.c * (np.asarray(x, float) - 0.5 * (self.a + self.b))
 
-    def scaled(self, factor: float) -> "SemicircleWeight":
-        return SemicircleWeight(self.c * factor, self.a, self.b)
+    def szego_integral(self) -> float:
+        """int_a^b ln w(x) dx / sqrt((x - a)(b - x)) = pi (ln c + ln((b-a)/4)),
+        for c > 0.  With x - a = (b - a) sin^2(theta/2) the integral is
+        int_0^pi ln w dtheta; ln w = ln c + (ln(x - a) + ln(b - x)) / 2, and
+        each endpoint factor gives int_0^pi ln((b-a) sin^2(theta/2)) dtheta =
+        pi ln((b-a)/4)."""
+        return math.pi * (math.log(self.c) + math.log((self.b - self.a) / 4.0))
 
 
 @dataclass(frozen=True)
@@ -258,8 +264,9 @@ class UniformWeight:
         x = np.asarray(x, float)
         return 2.0 * self.c * np.log((x - self.a) / (self.b - x))
 
-    def scaled(self, factor: float) -> "UniformWeight":
-        return UniformWeight(self.c * factor, self.a, self.b)
+    def szego_integral(self) -> float:
+        """int_a^b ln c dx / sqrt((x - a)(b - x)) = pi ln c, for c > 0."""
+        return math.pi * math.log(self.c)
 
 
 WeightFamily = PowerLawWeight | PowerLawExpWeight | SemicircleWeight | UniformWeight
@@ -427,7 +434,8 @@ def scale_mass(m: Measure, factor: float) -> Measure:
         tail=m.tail,
         point_masses=tuple(PointMass(p.location, p.mass * factor)
                            for p in m.point_masses),
-        family=m.family.scaled(factor) if m.family is not None else None,
+        family=(replace(m.family, c=m.family.c * factor)
+                if m.family is not None else None),
     )
 
 
@@ -493,30 +501,56 @@ class SpectralDensity(_Supported):
         return vals if vals.ndim else float(vals)
 
 
-def power_law_sd(s: float, alpha: float, omega_c: float = 1.0) -> SpectralDensity:
-    """J(w) = 2*pi*alpha*omega_c**(1-s) * w**s on [0, omega_c]; needs s > -1."""
+def _power_law_constants(s: float, alpha: float, omega_c: float,
+                         squared: bool) -> list[float]:
+    """The checked constants 2*pi*alpha*omega_c**(1-s) (J's prefactor) and
+    2*alpha*omega_c**(1-s) (J/pi's), then omega_c**2 when squared.  Raises
+    DomainError unless s > -1, alpha > 0, omega_c > 0 and every parameter
+    and constant is finite: a constant that overflows is rejected here."""
     if not s > -1:
         raise DomainError("power law exponent must satisfy s > -1")
     if not alpha > 0:
         raise DomainError("coupling strength alpha must be positive")
-    fam = PowerLawWeight(2.0 * math.pi * alpha * omega_c ** (1 - s), s, omega_c)
-    coeff = 2.0 * alpha * omega_c ** (1 - s)
+    if not omega_c > 0:
+        raise DomainError("cutoff omega_c must be positive")
+    try:
+        scale = omega_c ** (1 - s)
+        consts = [2.0 * math.pi * alpha * scale, 2.0 * alpha * scale,
+                  *([omega_c**2] if squared else [])]
+    except OverflowError:
+        consts = [math.inf]
+    if not all(map(math.isfinite, [s, alpha, omega_c, *consts])):
+        raise DomainError("power law parameters and constants must be finite, "
+                          f"got s={s!r}, alpha={alpha!r}, omega_c={omega_c!r}")
+    return consts
+
+
+def power_law_sd(s: float, alpha: float, omega_c: float = 1.0) -> SpectralDensity:
+    """J(w) = 2*pi*alpha*omega_c**(1-s) * w**s on [0, omega_c].
+
+    Needs s > -1, alpha > 0 and omega_c > 0, all finite, with
+    2*pi*alpha*omega_c**(1-s), 2*alpha*omega_c**(1-s) and omega_c**2 finite;
+    otherwise raises DomainError.
+    """
+    prefactor, coeff, cut_sq = _power_law_constants(s, alpha, omega_c, True)
+    fam = PowerLawWeight(prefactor, s, omega_c)
     return SpectralDensity(fam.weight, ((0.0, omega_c),), ((s, 0.0),),
                            m0_family=PowerLawWeight(coeff, s, omega_c),
-                           m1_family=PowerLawWeight(coeff, s / 2.0, omega_c**2))
+                           m1_family=PowerLawWeight(coeff, s / 2.0, cut_sq))
 
 
 def power_law_exp_sd(s: float, alpha: float, omega_c: float = 1.0) -> SpectralDensity:
-    """J(w) = 2*pi*alpha*omega_c**(1-s) * w**s * exp(-w/omega_c) on [0, inf)."""
-    if not s > -1:
-        raise DomainError("power law exponent must satisfy s > -1")
-    if not alpha > 0:
-        raise DomainError("coupling strength alpha must be positive")
-    fam = PowerLawExpWeight(2.0 * math.pi * alpha * omega_c ** (1 - s), s, omega_c)
+    """J(w) = 2*pi*alpha*omega_c**(1-s) * w**s * exp(-w/omega_c) on [0, inf).
+
+    Needs s > -1, alpha > 0 and omega_c > 0, all finite, with
+    2*pi*alpha*omega_c**(1-s) and 2*alpha*omega_c**(1-s) finite; otherwise
+    raises DomainError.
+    """
+    prefactor, coeff = _power_law_constants(s, alpha, omega_c, False)
+    fam = PowerLawExpWeight(prefactor, s, omega_c)
     return SpectralDensity(fam.weight, ((0.0, math.inf),), ((s, 0.0),),
                            tail=fam.tail(),
-                           m0_family=PowerLawExpWeight(
-                               2.0 * alpha * omega_c ** (1 - s), s, omega_c))
+                           m0_family=PowerLawExpWeight(coeff, s, omega_c))
 
 
 def tabulated_sd(omega: Sequence[float], values: Sequence[float]) -> SpectralDensity:

@@ -127,6 +127,43 @@ class TestValidate:
                 "number, got inf" in err
         assert not (tmp_path / "chain.csv").exists()
 
+    @pytest.mark.parametrize("field, spec, reason", [
+        ("spectral_density", {"family": "power_law", "s": -1, "alpha": 0.1},
+         "s > -1"),
+        ("spectral_density", {"family": "power_law_exp_cutoff", "s": 1,
+                              "alpha": 0}, "alpha must be positive"),
+        ("spectral_density", {"family": "power_law", "s": 1, "alpha": 0.1,
+                              "omega_c": 0}, "omega_c must be positive"),
+        ("spectral_density", {"family": "power_law_exp_cutoff", "s": 1,
+                              "alpha": 0.1, "omega_c": -1}, "omega_c must be positive"),
+        ("spectral_density.samples_path", "0.0,1.0\n", ">= 2 points"),
+        ("spectral_density.samples_path", "0.0,1.0\n0.5,1.0\n0.5,1.0\n",
+         "strictly increasing"),
+        ("spectral_density.samples_path", "0.0,1.0\n0.5,-1.0\n", "nonnegative"),
+        ("spectral_density.samples_path", "-0.5,1.0\n0.5,1.0\n", "w_min >= 0"),
+        ("spectral_density.intervals", [[1, 0.5, 1]], "empty support interval"),
+        ("spectral_density.intervals", [[-1, 1, 1]], "w_min >= 0"),
+        ("spectral_density.intervals", [[0, 1, -1]], "nonnegative"),
+        ("spectral_density.intervals", [[2, 3, 1], [0, 2.5, 1]], "disjoint"),
+        ("spectral_density.intervals", [[0, 1, 1], [1, 2, 0.5]], "disjoint"),
+    ], ids=["s", "alpha", "omega_c-zero", "omega_c-negative", "one-sample",
+            "omega-repeated", "J-negative", "omega-negative", "lo-above-hi",
+            "lo-negative", "height-negative", "overlap", "touching"])
+    def test_constructor_rules_exit_2(self, tmp_path, capsys, field, spec,
+                                      reason):
+        # Each rule lives in the constructor; the CLI names the field.
+        if isinstance(spec, str):
+            (tmp_path / "samples.csv").write_text(spec)
+            spec = {"family": "tabulated", "samples_path": "samples.csv"}
+        elif isinstance(spec, list):
+            spec = {"family": "piecewise", "intervals": spec}
+        path = ohmic_config(tmp_path, spectral_density=spec)
+        for command in ("validate", "run"):
+            assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {field}: ") and reason in err
+        assert not (tmp_path / "chain.csv").exists()
+
     def test_missing_file(self, tmp_path):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) \
             == cli.EXIT_CONFIG
@@ -418,13 +455,17 @@ class TestRun:
 # each config is passed through `cli.main`, then the loaded scipy modules
 # are listed.  Prints one JSON list of per-config results.
 _STARTUP_CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, traceback
 from chaincast import cli
 results = []
 for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = cli.main(["run", "--config", config, "--out-dir", out])
+        try:
+            code = cli.main(["run", "--config", config, "--out-dir", out])
+        except Exception:
+            traceback.print_exc()
+            code = None
     results.append({"code": code, "stderr": err.getvalue(),
                     "scipy": sorted(m for m in sys.modules
                                     if m.split(".")[0] == "scipy")})
@@ -456,11 +497,11 @@ _STARTUP_CONFIGS = {
 }
 
 
-@pytest.fixture(scope="module")
-def startup_runs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("startup")
+def _child_runs(root, configs):
+    """`chaincast run` on each config in one fresh interpreter, outputs in
+    root / name; returns root and the per-config results by name."""
     argv = []
-    for name, payload in _STARTUP_CONFIGS.items():
+    for name, payload in configs.items():
         (root / name).mkdir()
         argv += [write_config(root / name / "job.json", payload),
                  str(root / name)]
@@ -470,7 +511,12 @@ def startup_runs(tmp_path_factory):
                           env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     results = json.loads(proc.stdout.strip().splitlines()[-1])
-    return root, dict(zip(_STARTUP_CONFIGS, results))
+    return root, dict(zip(configs, results))
+
+
+@pytest.fixture(scope="module")
+def startup_runs(tmp_path_factory):
+    return _child_runs(tmp_path_factory.mktemp("startup"), _STARTUP_CONFIGS)
 
 
 class TestStartupImports:
@@ -499,3 +545,59 @@ class TestStartupImports:
         assert res["code"] == cli.EXIT_UNSUPPORTED
         assert "z0=1.5" in res["stderr"]
         assert res["scipy"] == []
+
+
+def _power_law(s, alpha=0.1, omega_c=1.0, family="power_law"):
+    return {"family": family, "s": s, "alpha": alpha, "omega_c": omega_c}
+
+
+# Configs that pass `chaincast validate`'s number checks but whose J, chain
+# or report does not fit in a double.
+_PROBE_CONFIGS = {
+    "power_law_tiny_cutoff": {"spectral_density": _power_law(2, omega_c=1e-320)},
+    "power_law_huge_cutoff": {"spectral_density": _power_law(-0.5, omega_c=1e300)},
+    "power_law_cutoff_squared": {"spectral_density": _power_law(0, omega_c=1e200)},
+    "power_law_huge_alpha_q0": {"spectral_density": _power_law(0, alpha=1e308)},
+    "power_law_huge_alpha_q1": {"spectral_density": _power_law(0, alpha=1e308),
+                                "mapping_q": 1},
+    "power_law_nan_moment_gaps": {"spectral_density": _power_law(0, omega_c=1e120),
+                                  "residual_orders": [1]},
+    "exp_cutoff_huge_cutoff": {"spectral_density": _power_law(
+        1, omega_c=1e200, family="power_law_exp_cutoff")},
+    "piecewise_huge": {"spectral_density": {"family": "piecewise",
+                                            "intervals": [[0, 1e300, 1e300]]}},
+}
+
+
+@pytest.fixture(scope="module")
+def probe_runs(tmp_path_factory):
+    configs = {name: {"sites": 10, "residual_orders": [1, 2, 3],
+                      "grid": {"points": 16}, **payload}
+               for name, payload in _PROBE_CONFIGS.items()}
+    return _child_runs(tmp_path_factory.mktemp("probes"), configs)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON number {name}")
+
+
+@pytest.mark.parametrize("name", list(_PROBE_CONFIGS))
+def test_out_of_range_config_fails_cleanly(probe_runs, name):
+    """Exit 2 (the constructor rejects J) or 3 (the run meets a number it
+    cannot represent), one closing message, and no non-finite number in
+    any file written."""
+    root, results = probe_runs
+    res = results[name]
+    assert res["code"] in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), res["stderr"]
+    assert "Traceback" not in res["stderr"]
+    last = res["stderr"].strip().splitlines()[-1]
+    assert last.startswith(("config error:", "numerical failure:")), last
+    for path in (root / name).iterdir():
+        if path.name == "job.json":
+            continue
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+            continue
+        rows = [line.split(",") for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+        assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)

@@ -155,6 +155,25 @@ class TestStructure:
         with pytest.raises(DomainError):
             cc.power_law_sd(1.0, -0.1)
 
+    @pytest.mark.parametrize("maker", [cc.power_law_sd, cc.power_law_exp_sd])
+    @pytest.mark.parametrize("s, alpha, omega_c", [
+        (1.0, 0.1, 0.0), (2.0, 0.1, 0.0), (1.0, 0.1, -1.0),
+        (2.0, 0.1, 1e-320),    # omega_c**(1-s) overflows
+        (-0.5, 0.1, 1e300),    # omega_c**(1-s) overflows
+        (0.0, 1e308, 1.0),     # 2*pi*alpha overflows to inf
+        (math.inf, 0.1, 1.0), (1.0, math.inf, 1.0), (1.0, 0.1, math.inf),
+    ])
+    def test_power_law_cutoff_and_constants_validation(self, maker, s, alpha,
+                                                        omega_c):
+        with pytest.raises(DomainError):
+            maker(s, alpha, omega_c)
+
+    def test_power_law_cutoff_squared_must_be_finite(self):
+        # Only the power law carries omega_c**2, the q = 1 support end.
+        with pytest.raises(DomainError):
+            cc.power_law_sd(0.0, 0.1, 1e200)
+        assert cc.power_law_exp_sd(0.0, 0.1, 1e200).m0_family.scale == 1e200
+
     def test_tabulated_validation(self):
         with pytest.raises(DomainError):
             cc.tabulated_sd([0.0, 0.5, 0.4], [1.0, 1.0, 1.0])
