@@ -32,7 +32,6 @@ from .errors import (
 )
 from .measures import (
     Measure,
-    PointMass,
     PowerLawExpWeight,
     PowerLawWeight,
     SemicircleWeight,

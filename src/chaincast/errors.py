@@ -58,7 +58,7 @@ class UnsupportedMapping(ChaincastError):
 
 
 class UnsupportedMeasure(ChaincastError):
-    """Measure shape (point masses, unbounded reducer, ...) outside an operation's domain."""
+    """Measure shape (unbounded reducer, ...) outside an operation's domain."""
 
 
 class DomainError(ChaincastError):

@@ -2,8 +2,8 @@
 
 The physical input is a bath spectral density J(w) >= 0 on a union of
 closed frequency intervals.  The mathematical workhorse is a positive
-measure d-mu(x) = weight(x) dx on its own union of intervals, optionally
-with finitely many point masses.  Everything downstream (recurrence
+measure d-mu(x) = weight(x) dx on its own union of intervals.  Everything
+downstream (recurrence
 coefficients, Stieltjes transforms, secondary sequences, chain mappings)
 consumes the Measure type defined here.
 
@@ -14,6 +14,7 @@ evaluation at the support endpoints (clip/return 0 rather than raise).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -30,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "TailBound",
-    "PointMass",
     "PowerLawWeight",
     "PowerLawExpWeight",
     "SemicircleWeight",
@@ -68,12 +68,6 @@ class TailBound:
 
     def cutoff(self, poly_degree: int = 0) -> float:
         return quadrature.tail_cutoff(self.rate, self.power + poly_degree, self.stretch)
-
-
-@dataclass(frozen=True)
-class PointMass:
-    location: float
-    mass: float
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +294,6 @@ class _Supported:
 
     @property
     def gapless(self) -> bool:
-        # Classified by the continuous part only; point masses are ignored.
         return len(self.support) == 1
 
     @property
@@ -310,7 +303,7 @@ class _Supported:
 
 @dataclass(frozen=True)
 class Measure(_Supported):
-    """Positive measure: weight function on support intervals + point masses.
+    """Positive measure: weight function on support intervals.
 
     Parameters
     ----------
@@ -320,8 +313,6 @@ class Measure(_Supported):
         Disjoint, sorted closed intervals; the last may have hi = inf.
     tail : TailBound, optional
         Required for quadrature on unbounded support.
-    point_masses : tuple of PointMass
-        Finitely many atoms added to every integral.
     family : analytic family descriptor, optional
         Enables closed-form recurrence coefficients / reducers, and gives
         the weight's derivative to the generic reducer routes.
@@ -330,7 +321,6 @@ class Measure(_Supported):
     weight: Callable
     support: Intervals
     tail: TailBound | None = None
-    point_masses: tuple[PointMass, ...] = ()
     family: WeightFamily | None = None
 
     def __post_init__(self):
@@ -370,8 +360,8 @@ class Measure(_Supported):
         return tuple(out)
 
     def integrate(self, f: Callable, poly_degree: int = 0) -> float:
-        """Integral of f against the measure (weight dx + point masses), to
-        1e-13 relative per support interval."""
+        """Integral of f against the measure, to 1e-13 relative per support
+        interval."""
         rel_tol = 1e-13
         total = 0.0
         ok_all = True
@@ -380,16 +370,14 @@ class Measure(_Supported):
                 lambda x: f(x) * self.weight(x), lo, hi, rel_tol=rel_tol)
             total += val
             ok_all = ok_all and ok
-        for pm in self.point_masses:
-            total += pm.mass * float(np.asarray(f(np.asarray(pm.location)), float))
         if not ok_all:
             raise DivergentMoment("quadrature failed to converge at tolerance "
                                   f"{rel_tol} (degree {poly_degree})")
         return total
 
     def discretize(self, level: int, poly_degree: int = 0):
-        """Dense quadrature discretization (x, w) of the continuous part,
-        point masses appended; basis of the generic recurrence path.  On
+        """Dense quadrature discretization (x, w) of the measure; basis of
+        the generic recurrence path.  On
         each support interval the positions are distinct and increasing,
         each with the summed weight of the tanh-sinh nodes that round onto
         it (``quadrature.map_nodes``)."""
@@ -398,9 +386,6 @@ class Measure(_Supported):
             x, w = quadrature.map_nodes(level, lo, hi)
             xs.append(x)
             ws.append(w * self.weight(x))
-        for pm in self.point_masses:
-            xs.append(np.array([pm.location]))
-            ws.append(np.array([pm.mass]))
         return np.concatenate(xs), np.concatenate(ws)
 
     def total_mass(self) -> float:
@@ -424,7 +409,7 @@ def moments(m: Measure, n: int) -> np.ndarray:
 
 
 def scale_mass(m: Measure, factor: float) -> Measure:
-    """Multiply the weight (and point masses) by a positive constant."""
+    """Multiply the weight by a positive constant."""
     if not factor > 0:
         raise DomainError("mass factor must be positive")
     old_w = m.weight
@@ -432,8 +417,6 @@ def scale_mass(m: Measure, factor: float) -> Measure:
         weight=lambda x: factor * old_w(x),
         support=m.support,
         tail=m.tail,
-        point_masses=tuple(PointMass(p.location, p.mass * factor)
-                           for p in m.point_masses),
         family=(replace(m.family, c=m.family.c * factor)
                 if m.family is not None else None),
     )
@@ -501,12 +484,13 @@ class SpectralDensity(_Supported):
         return vals if vals.ndim else float(vals)
 
 
-def _power_law_constants(s: float, alpha: float, omega_c: float,
-                         squared: bool) -> list[float]:
-    """The checked constants 2*pi*alpha*omega_c**(1-s) (J's prefactor) and
-    2*alpha*omega_c**(1-s) (J/pi's), then omega_c**2 when squared.  Raises
-    DomainError unless s > -1, alpha > 0, omega_c > 0 and every parameter
-    and constant is finite: a constant that overflows is rejected here."""
+def _power_law_constants(s: float, alpha: float, omega_c: float) -> list[float]:
+    """The checked constants 2*pi*alpha*omega_c**(1-s) (J's prefactor),
+    2*alpha*omega_c**(1-s) (J/pi's) and omega_c**2 (the q = 1 support end,
+    and the scale of beta_n for n >= 1).  Raises DomainError unless s > -1
+    and alpha, omega_c and every constant are finite normal floats (at least
+    sys.float_info.min): a constant that overflows or underflows is rejected
+    here, not met later as a subnormal or zero mass."""
     if not s > -1:
         raise DomainError("power law exponent must satisfy s > -1")
     if not alpha > 0:
@@ -515,42 +499,57 @@ def _power_law_constants(s: float, alpha: float, omega_c: float,
         raise DomainError("cutoff omega_c must be positive")
     try:
         scale = omega_c ** (1 - s)
-        consts = [2.0 * math.pi * alpha * scale, 2.0 * alpha * scale,
-                  *([omega_c**2] if squared else [])]
+        consts = [2.0 * math.pi * alpha * scale, 2.0 * alpha * scale, omega_c**2]
     except OverflowError:
         consts = [math.inf]
+    got = f"got s={s!r}, alpha={alpha!r}, omega_c={omega_c!r}"
     if not all(map(math.isfinite, [s, alpha, omega_c, *consts])):
-        raise DomainError("power law parameters and constants must be finite, "
-                          f"got s={s!r}, alpha={alpha!r}, omega_c={omega_c!r}")
+        raise DomainError(f"power law parameters and constants must be finite, {got}")
+    names = ("alpha", "omega_c", "2*pi*alpha*omega_c**(1-s)",
+             "2*alpha*omega_c**(1-s)", "omega_c**2")
+    for name, value in zip(names, [alpha, omega_c, *consts]):
+        if value < sys.float_info.min:
+            raise DomainError(f"power law {name} = {value!r} is below the "
+                              f"smallest normal float, {got}")
     return consts
+
+
+def _normal_mass(fam: WeightFamily) -> WeightFamily:
+    """fam, once its mass beta_0 is a finite normal float."""
+    try:
+        mass = fam.recurrence(1)[1][0]
+    except OverflowError:
+        mass = math.inf
+    if not sys.float_info.min <= mass < math.inf:
+        raise DomainError(f"power law chain measure mass beta_0 = {float(mass)!r} "
+                          f"is not a finite normal float, for {fam!r}")
+    return fam
 
 
 def power_law_sd(s: float, alpha: float, omega_c: float = 1.0) -> SpectralDensity:
     """J(w) = 2*pi*alpha*omega_c**(1-s) * w**s on [0, omega_c].
 
-    Needs s > -1, alpha > 0 and omega_c > 0, all finite, with
-    2*pi*alpha*omega_c**(1-s), 2*alpha*omega_c**(1-s) and omega_c**2 finite;
-    otherwise raises DomainError.
+    Needs s > -1, and alpha, omega_c, 2*pi*alpha*omega_c**(1-s),
+    2*alpha*omega_c**(1-s), omega_c**2 and the masses of the chain measures
+    finite normal floats; otherwise raises DomainError.
     """
-    prefactor, coeff, cut_sq = _power_law_constants(s, alpha, omega_c, True)
+    prefactor, coeff, cut_sq = _power_law_constants(s, alpha, omega_c)
     fam = PowerLawWeight(prefactor, s, omega_c)
     return SpectralDensity(fam.weight, ((0.0, omega_c),), ((s, 0.0),),
-                           m0_family=PowerLawWeight(coeff, s, omega_c),
-                           m1_family=PowerLawWeight(coeff, s / 2.0, cut_sq))
+                           m0_family=_normal_mass(PowerLawWeight(coeff, s, omega_c)),
+                           m1_family=_normal_mass(PowerLawWeight(coeff, s / 2.0, cut_sq)))
 
 
 def power_law_exp_sd(s: float, alpha: float, omega_c: float = 1.0) -> SpectralDensity:
     """J(w) = 2*pi*alpha*omega_c**(1-s) * w**s * exp(-w/omega_c) on [0, inf).
 
-    Needs s > -1, alpha > 0 and omega_c > 0, all finite, with
-    2*pi*alpha*omega_c**(1-s) and 2*alpha*omega_c**(1-s) finite; otherwise
-    raises DomainError.
+    Needs what ``power_law_sd`` needs; otherwise raises DomainError.
     """
-    prefactor, coeff = _power_law_constants(s, alpha, omega_c, False)
+    prefactor, coeff, _ = _power_law_constants(s, alpha, omega_c)
     fam = PowerLawExpWeight(prefactor, s, omega_c)
     return SpectralDensity(fam.weight, ((0.0, math.inf),), ((s, 0.0),),
                            tail=fam.tail(),
-                           m0_family=PowerLawExpWeight(coeff, s, omega_c))
+                           m0_family=_normal_mass(PowerLawExpWeight(coeff, s, omega_c)))
 
 
 def tabulated_sd(omega: Sequence[float], values: Sequence[float]) -> SpectralDensity:

@@ -183,7 +183,7 @@ def recurrence_coefficients(m: Measure, n: int,
         raise IndexOutOfRange(f"order must be in 1..{MAX_ORDER}, got {n}")
     if method not in ("auto", "stieltjes"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and m.family is not None and not m.point_masses:
+    if method == "auto" and m.family is not None:
         alpha, beta = m.family.recurrence(n)
         rc = RecurrenceCoefficients(alpha, beta)
     else:

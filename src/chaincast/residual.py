@@ -7,7 +7,7 @@ leaves the enlarged system coupled to a bath with spectral density
                         + J_0(w)^2 P_{n-1}(y)^2 ],      y = G_q(w),
 
 with P, Q, phi of d-lambda^q.  Equivalently J_n = pi * nu_n(G_q(w)) where
-nu_n is the beta-normalized secondary sequence of d-lambda^q, so the
+nu_n is the secondary sequence of d-lambda^q (mass beta_n), so the
 measure built from J_n has the n-th associated Jacobi matrix of the base
 chain; `residual_consistency` checks exactly that.
 
@@ -53,7 +53,7 @@ class ResidualDensity:
         if not J.gapless:
             raise GappedMeasure("residual densities require a gapless spectral density")
         lam = measure_from_sd(J, float(q))
-        seq = SecondarySequence.build(lam, order, mode="beta_normalized")
+        seq = SecondarySequence.build(lam, order)
         return cls(base=J, q=q, seq=seq)
 
     def __call__(self, n: int, omega):

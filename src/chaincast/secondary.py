@@ -1,17 +1,22 @@
-"""Secondary measures and their closed-form sequences.
+"""The beta-normalized secondary sequence of a gapless measure, in closed form.
 
-Starting from a gapless base measure, the normalized secondary sequence
-mu_0, mu_1, ... and the beta-normalized sequence nu_0, nu_1, ... are both
-evaluated directly from the base data (orthonormal P, secondary Q, reducer
-phi) with no iteration:
+Starting from a gapless base measure nu_0, its secondary measures
+nu_1, nu_2, ... are evaluated directly from the base data (orthonormal P,
+secondary Q, reducer phi) with no iteration:
 
-    mu_n(x)  = (1/beta_n) * nu_n(x)
-    nu_n(x)  = nu_0(x) / [ (P_{n-1} phi/2 - Q_{n-1})^2 + pi^2 nu_0^2 P_{n-1}^2 ]
+    nu_n(x) = nu_0(x) / [ (P_{n-1} phi/2 - Q_{n-1})^2 + pi^2 nu_0^2 P_{n-1}^2 ]
 
-where P, Q, phi all belong to nu_0.  Member n of the beta-normalized
-sequence carries mass beta_n(d nu_0); members of the normalized sequence
-have unit mass.  The Jacobi matrix of member n is the n-th associated
-matrix of the base (first n rows and columns crossed out).
+where P, Q, phi all belong to nu_0.  Member n carries mass beta_n(d nu_0),
+and its Jacobi matrix is the n-th associated matrix of the base (first n
+rows and columns crossed out).
+
+Only beta_0 depends on the mass of nu_0: scaling nu_0 by t scales P by
+t**-1/2, Q by t**1/2 and phi by t, so both terms of the denominator scale
+by t and nu_n is unchanged.  The sequence therefore runs on the base
+divided by the power of four nearest beta_0.  For t = 4**-j that division
+is exact in binary: P scales by 2**j, Q and phi * P by 2**-j, square roots
+included.  So nu_n keeps every bit it has for a unit-scale input, while no
+table can overflow or underflow however large or small the mass of nu_0.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import (
     InsufficientMoments,
     UnsupportedMeasure,
 )
-from .measures import Measure, normalize
+from .measures import Measure, scale_mass
 from .orthopoly import (
     RecurrenceCoefficients,
     orthonormal_table,
@@ -46,57 +51,56 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SecondarySequence:
-    """Evaluator for a sequence of secondary measures over a gapless base.
+    """Evaluator for the secondary sequence of a gapless measure.
 
-    mode "normalized": members are the unit-mass secondary sequence of the
-    normalized base.  mode "beta_normalized": members keep mass
-    beta_n(d nu_0) of the original base.  All P, Q, phi come from the single
-    base measure stored here; nothing is re-derived per member.  Members are
-    usually sampled order by order on one grid, so the weight, the reducer
-    and the P and Q tables up to the prepared order are evaluated once per
-    distinct x array and kept for the last one.
+    ``base`` is the measure divided by the power of four nearest its mass,
+    and ``rc`` its recurrence coefficients: beta_0 is the base's mass,
+    beta_n (n >= 1) the mass of member n.  All P, Q, phi come from the
+    single base measure stored here; nothing is re-derived per member.
+    Members are usually sampled order by order on one grid, so the weight,
+    the reducer and the P and Q tables up to the prepared order are
+    evaluated once per distinct x array and kept for the last one.
     """
 
     base: Measure
     rc: RecurrenceCoefficients
-    mode: str
     # (x, (mu0, phi, P table, Q table)) of the last x, all read-only.
     _memo: list = field(default_factory=list, init=False, repr=False,
                         compare=False)
 
     @classmethod
-    def build(cls, measure: Measure, order: int,
-              mode: str = "normalized") -> "SecondarySequence":
+    def build(cls, measure: Measure, order: int) -> "SecondarySequence":
         """Prepare a sequence supporting members 1..order."""
-        if mode not in ("normalized", "beta_normalized"):
-            raise ValueError(f"unknown mode {mode!r}")
         if not measure.gapless:
             raise GappedMeasure(
                 "secondary measures do not exist for gapped measures "
                 "(the Stieltjes transform vanishes inside the gap)")
-        if measure.point_masses:
-            raise UnsupportedMeasure("secondary sequences assume a pure density")
-        base = normalize(measure) if mode == "normalized" else measure
-        rc = recurrence_coefficients(base, order + 1)
-        return cls(base=base, rc=rc, mode=mode)
+        rc = recurrence_coefficients(measure, order + 1)
+        scale = math.ldexp(1.0, -2 * round(math.frexp(rc.beta[0])[1] / 2))
+        beta = rc.beta.copy()
+        beta[0] *= scale
+        return cls(base=scale_mass(measure, scale),
+                   rc=RecurrenceCoefficients(rc.alpha, beta))
 
     @property
     def order(self) -> int:
         return self.rc.n - 1
 
-    def density(self, n: int, x):
-        """Weight of member n at interior points x (n >= 1)."""
+    def _check_member(self, n: int) -> None:
         if n < 1:
             raise IndexOutOfRange("sequence members start at n = 1")
         if n > self.order:
             raise IndexOutOfRange(f"member {n} beyond prepared order {self.order}")
+
+    def density(self, n: int, x):
+        """Weight of member n at interior points x (n >= 1); its mass is
+        rc.beta[n]."""
+        self._check_member(n)
         xs = np.atleast_1d(np.asarray(x, float))
         mu0, phi, p_table, q_table = self._tables(xs)
         p, q = p_table[n - 1], q_table[n - 1]
         den = (p * phi / 2.0 - q) ** 2 + math.pi**2 * mu0**2 * p**2
         vals = mu0 / den
-        if self.mode == "normalized":
-            vals = vals / self.rc.beta[n]
         return vals if np.ndim(x) else float(vals[0])
 
     def _tables(self, xs: np.ndarray) -> tuple:
@@ -117,22 +121,14 @@ class SecondarySequence:
         memo[:] = [xs.copy(), tables]
         return tables
 
-    def member_mass(self, n: int) -> float:
-        if n == 0:
-            return self.rc.beta[0] if self.mode == "beta_normalized" else 1.0
-        if not 1 <= n <= self.order:
-            raise IndexOutOfRange(f"member {n} beyond prepared order {self.order}")
-        return self.rc.beta[n] if self.mode == "beta_normalized" else 1.0
-
     def member_measure(self, n: int) -> Measure:
-        """Member n wrapped as a Measure on the guard-banded interior.
+        """Member n (n >= 1) wrapped as a Measure on the guard-banded interior.
 
         The denominators keep the endpoint behaviour of the base weight at
         the left endpoint; at the right endpoint the member decays like
         1/log^2 and the clipped band carries O(guard/log^2 guard) mass.
         """
-        if n == 0:
-            return self.base
+        self._check_member(n)
         if not self.base.bounded:
             raise UnsupportedMeasure(
                 "member measures need bounded support (off the Szego class "
@@ -144,15 +140,10 @@ class SecondarySequence:
 
 
 def secondary_density(m: Measure, x):
-    """Weight of the secondary measure of a normalized gapless measure:
-    rho(x) = mu(x) / (phi^2/4 + pi^2 mu^2).  Carries mass beta_1(d mu)."""
-    if not m.gapless:
-        raise GappedMeasure("secondary measure undefined for gapped measures")
-    xs = np.atleast_1d(np.asarray(x, float))
-    mu = np.asarray(m.weight(xs), float)
-    phi = np.asarray(reducer(m, xs), float)
-    vals = mu / (phi * phi / 4.0 + math.pi**2 * mu * mu)
-    return vals if np.ndim(x) else float(vals[0])
+    """Weight of the first secondary measure of a gapless measure,
+    rho(x) = beta_0 mu(x) / (phi^2/4 + pi^2 mu^2) with beta_0 the mass of
+    mu; rho does not depend on beta_0 and carries mass beta_1(d mu)."""
+    return SecondarySequence.build(m, 1).density(1, x)
 
 
 def secondary_moments(c: np.ndarray, n: int) -> np.ndarray:

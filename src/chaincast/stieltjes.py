@@ -265,8 +265,6 @@ def reducer(m: Measure, x):
     route on the distinct values of x."""
     if not m.gapless:
         raise GappedMeasure("reducer requires a gapless measure")
-    if m.point_masses:
-        raise UnsupportedMeasure("reducer assumes a pure density")
     xs = np.atleast_1d(np.asarray(x, float))
     _check_interior(m, xs)
     vals = m.family.reducer(xs) if m.family is not None else None
@@ -282,8 +280,8 @@ def reducer(m: Measure, x):
 
 def _real_axis_integral(m: Measure, z, kernel, stage: str,
                        rel_tol: float, density=None):
-    """int kernel(z - t, mu(t)) dt over the support plus kernel(z - t_k, m_k)
-    over the point masses; ``density`` replaces the weight mu when given.
+    """int kernel(z - t, mu(t)) dt over the support; ``density`` replaces the
+    weight mu when given.
 
     z is real or complex.  An interval containing Re z is split there, and
     z - t is formed from the node's distance to the end of its piece
@@ -307,8 +305,6 @@ def _real_axis_integral(m: Measure, z, kernel, stage: str,
                 _log.warning("%s: quadrature not converged on [%r, %r] at "
                              "rel_tol %g", stage, a, b, rel_tol)
             total += val
-    for pm in m.point_masses:
-        total += kernel(z - pm.location, pm.mass)
     return total
 
 

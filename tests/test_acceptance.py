@@ -103,7 +103,7 @@ def test_criterion_05_jacobi_shift_oracle():
     """Recurrence coefficients of evaluated mu_m equal shifted base orders."""
     j = cc.power_law_sd(1.0, 0.1, 1.0)
     base = cc.normalize(cc.measure_from_sd(j, 0.0))
-    seq = cc.SecondarySequence.build(base, 3, mode="normalized")
+    seq = cc.SecondarySequence.build(base, 3)
     parent = cc.recurrence_coefficients(seq.base, 8)
     for m in (1, 2, 3):
         child = cc.recurrence_coefficients(seq.member_measure(m), 4,

@@ -8,7 +8,7 @@ PUBLIC_API = [
     "DomainError", "EndpointEvaluation", "GappedMeasure", "IllConditioned",
     "IndexOutOfRange", "InsufficientMoments", "InversionFailure",
     "MappingKernel", "Measure", "NonMonotoneDispersion", "NotInSzegoClass",
-    "PointMass", "PoleTooClose", "PowerLawExpWeight", "PowerLawWeight",
+    "PoleTooClose", "PowerLawExpWeight", "PowerLawWeight",
     "RecurrenceCoefficients", "ResidualDensity", "SecondarySequence",
     "SemicircleWeight", "SpectralDensity", "SzegoVerdict", "TailBound",
     "UnsupportedMapping", "UnsupportedMeasure", "ZeroMass",

@@ -299,6 +299,27 @@ class TestRun:
         report = json.loads((tmp_path / "report.json").read_text())
         assert sorted(report["moment_gaps"]) == ["1", "2", "3"]
 
+    def test_residual_columns_do_not_depend_on_the_height_of_j(self, tmp_path):
+        # J_n (n >= 1) does not depend on the mass of J.  A flat tabulated J
+        # of height 2**600, a power of four, keeps every bit of J_1..J_3;
+        # those columns used to read 0.
+        columns = []
+        for height in (1.0, 2.0**600):
+            job = tmp_path / f"h{len(columns)}"
+            job.mkdir()
+            (job / "samples.csv").write_text(f"0.0,{height!r}\n1.0,{height!r}\n")
+            path = write_config(job / "job.json", {
+                "spectral_density": {"family": "tabulated",
+                                     "samples_path": "samples.csv"},
+                "mapping_q": 0, "sites": 6, "residual_orders": [1, 2, 3],
+                "grid": {"points": 16}})
+            assert cli.main(["run", "--config", path]) == cli.EXIT_OK
+            rows = (job / "residual.csv").read_text().splitlines()[2:]
+            columns.append([row.split(",", 2)[::2] for row in rows])
+        assert columns[0] == columns[1]
+        assert all(float(cell) > 0 for row in columns[0]
+                   for cell in row[1].split(","))
+
     def test_chain_csv_round_trip_is_exact(self, tmp_path):
         path = ohmic_config(tmp_path, residual_orders=[])
         assert cli.main(["run", "--config", path]) == cli.EXIT_OK
@@ -566,7 +587,20 @@ _PROBE_CONFIGS = {
         1, omega_c=1e200, family="power_law_exp_cutoff")},
     "piecewise_huge": {"spectral_density": {"family": "piecewise",
                                             "intervals": [[0, 1e300, 1e300]]}},
+    "power_law_cutoff_squared_zero": {"spectral_density": _power_law(0, omega_c=1e-200)},
+    "power_law_subnormal_alpha": {"spectral_density": _power_law(1, alpha=1e-320)},
+    "power_law_cutoff_squared_subnormal": {"spectral_density": _power_law(
+        0.5, omega_c=1e-160)},
+    "exp_cutoff_cutoff_squared_subnormal": {"spectral_density": _power_law(
+        1, omega_c=1e-160, family="power_law_exp_cutoff")},
 }
+# Of these, the constructor rejects a constant below the smallest normal
+# float, naming it.  Before it did, the last two built chain measures of
+# mass near 1e-321 and failed late, at the residual CSV.
+_SUBNORMAL_PROBES = {"power_law_cutoff_squared_zero": "omega_c**2 = 0.0",
+                     "power_law_subnormal_alpha": "alpha = 1e-320",
+                     "power_law_cutoff_squared_subnormal": "omega_c**2 = 1e-320",
+                     "exp_cutoff_cutoff_squared_subnormal": "omega_c**2 = 1e-320"}
 
 
 @pytest.fixture(scope="module")
@@ -589,6 +623,9 @@ def test_out_of_range_config_fails_cleanly(probe_runs, name):
     root, results = probe_runs
     res = results[name]
     assert res["code"] in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), res["stderr"]
+    if name in _SUBNORMAL_PROBES:
+        assert res["code"] == cli.EXIT_CONFIG
+        assert _SUBNORMAL_PROBES[name] in res["stderr"]
     assert "Traceback" not in res["stderr"]
     last = res["stderr"].strip().splitlines()[-1]
     assert last.startswith(("config error:", "numerical failure:")), last

@@ -172,12 +172,13 @@ class TestConvergenceReport:
         assert np.all(rep.terminal_moment_gap[4][:5] < 1e-2)
 
     def test_weak_convergence_of_normalized_members(self, weight_2x):
-        # |C_k(mu_4) - C_k(limit)| < 1e-2 for k <= 4, the limit being the
-        # normalized semicircle on [0, 1].
-        seq = cc.SecondarySequence.build(weight_2x, 4, mode="normalized")
+        # |C_k(mu_4) - C_k(limit)| < 1e-2 for k <= 4, with mu_4 member 4
+        # divided by its mass beta_4 and the limit the normalized
+        # semicircle on [0, 1].
+        seq = cc.SecondarySequence.build(weight_2x, 4)
         member = seq.member_measure(4)
         limit = cc.semicircle_measure(0.0, 1.0, 1.0)
-        got = cc.moments(member, 4)
+        got = cc.moments(member, 4) / seq.rc.beta[4]
         want = cc.moments(limit, 4)
         assert np.all(np.abs(got - want) < 1e-2)
 

@@ -85,13 +85,6 @@ class TestMoments:
         with pytest.raises(DivergentMoment):
             cc.moments(m, 2)
 
-    def test_point_masses_add(self, weight_x):
-        m = cc.Measure(weight_x.weight, weight_x.support,
-                       point_masses=(cc.PointMass(0.5, 2.0),))
-        vals = cc.moments(m, 2)
-        assert vals[0] == pytest.approx(0.5 + 2.0, rel=1e-12)
-        assert vals[2] == pytest.approx(0.25 + 2.0 * 0.25, rel=1e-12)
-
     @pytest.mark.parametrize("name", ["semicircle", "weight_x", "weight_2x",
                                       "uniform_sym", "sqrt", "laguerre_s1"])
     def test_hankel_positivity(self, measure_suite, name):
@@ -134,11 +127,6 @@ class TestStructure:
         assert not m.gapless
         assert m.hull == (0.0, 3.0)
 
-    def test_point_masses_do_not_affect_gap_classification(self, weight_x):
-        m = cc.Measure(weight_x.weight, weight_x.support,
-                       point_masses=(cc.PointMass(2.0, 1.0),))
-        assert m.gapless
-
     def test_interval_validation(self):
         with pytest.raises(DomainError):
             cc.Measure(lambda x: x, ((0.0, 1.0), (0.5, 2.0)))
@@ -162,6 +150,10 @@ class TestStructure:
         (-0.5, 0.1, 1e300),    # omega_c**(1-s) overflows
         (0.0, 1e308, 1.0),     # 2*pi*alpha overflows to inf
         (math.inf, 0.1, 1.0), (1.0, math.inf, 1.0), (1.0, 0.1, math.inf),
+        (0.0, 0.1, 1e-200),    # omega_c**2 underflows to 0
+        (1.0, 1e-320, 1.0),    # alpha is subnormal
+        (0.5, 0.1, 1e-160),    # omega_c**2 is subnormal
+        (1.0, 0.1, 1e-160),    # omega_c**2 is subnormal
     ])
     def test_power_law_cutoff_and_constants_validation(self, maker, s, alpha,
                                                         omega_c):
@@ -169,10 +161,19 @@ class TestStructure:
             maker(s, alpha, omega_c)
 
     def test_power_law_cutoff_squared_must_be_finite(self):
-        # Only the power law carries omega_c**2, the q = 1 support end.
-        with pytest.raises(DomainError):
-            cc.power_law_sd(0.0, 0.1, 1e200)
-        assert cc.power_law_exp_sd(0.0, 0.1, 1e200).m0_family.scale == 1e200
+        # omega_c**2 is the power law's q = 1 support end, and the scale of
+        # beta_n (n >= 1) in both families.
+        for maker in (cc.power_law_sd, cc.power_law_exp_sd):
+            with pytest.raises(DomainError):
+                maker(0.0, 0.1, 1e200)
+
+    @pytest.mark.parametrize("maker, s, omega_c", [
+        (cc.power_law_sd, 1.0, 1e-110),     # q = 1 mass 4*alpha*omega_c**3/3 underflows
+        (cc.power_law_exp_sd, 200.0, 1.0),  # Gamma(s + 1) overflows
+    ])
+    def test_power_law_chain_masses_must_be_normal(self, maker, s, omega_c):
+        with pytest.raises(DomainError, match="mass beta_0"):
+            maker(s, 0.1, omega_c)
 
     def test_tabulated_validation(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ import chaincast as cc
 from chaincast import quadrature
 from chaincast.errors import IndexOutOfRange
 from chaincast.measures import Measure, scale_mass
-from chaincast.orthopoly import orthonormal_table, secondary_table
+from chaincast.orthopoly import _stieltjes_sweep, orthonormal_table, secondary_table
 
 
 def gauss_rule(rc, n):
@@ -189,14 +189,12 @@ class TestRecurrenceCoefficients:
         atoms = 0.05 + 0.9 * np.cumsum(gaps)[:-1] / gaps.sum()
         masses = np.array(data.draw(st.lists(st.floats(0.1, 10.0),
                                              min_size=k, max_size=k)))
-        m = cc.Measure(lambda x: np.zeros_like(np.asarray(x, float)), ((0.0, 1.0),),
-                       point_masses=tuple(cc.PointMass(float(x), float(mass))
-                                          for x, mass in zip(atoms, masses)))
-        nodes, weights = gauss_rule(cc.recurrence_coefficients(m, k, method="stieltjes"), k)
+        rc = cc.RecurrenceCoefficients(*_stieltjes_sweep(atoms, masses, k))
+        nodes, weights = gauss_rule(rc, k)
         np.testing.assert_allclose(nodes, atoms, rtol=0, atol=1e-12)
         np.testing.assert_allclose(weights, masses, rtol=1e-12, atol=0)
         with pytest.raises(cc.IllConditioned):
-            cc.recurrence_coefficients(m, k + 1, method="stieltjes")
+            _stieltjes_sweep(atoms, masses, k + 1)
 
     def test_order_cap(self, weight_x):
         with pytest.raises(IndexOutOfRange):
@@ -205,16 +203,13 @@ class TestRecurrenceCoefficients:
     def test_discrete_modes_give_finite_chains(self):
         # A measure of N atoms supports exactly N orders; the N+1st has no
         # orthogonal polynomial left and must surface as ill-conditioning.
-        m = cc.Measure(lambda x: np.zeros_like(np.asarray(x, float)),
-                       ((0.0, 1.0),),
-                       point_masses=(cc.PointMass(0.25, 1.0),
-                                     cc.PointMass(0.75, 2.0)))
-        rc = cc.recurrence_coefficients(m, 2, method="stieltjes")
-        assert rc.beta[0] == pytest.approx(3.0, rel=1e-13)
+        x, w = np.array([0.25, 0.75]), np.array([1.0, 2.0])
+        alpha, beta = _stieltjes_sweep(x, w, 2)
+        assert beta[0] == pytest.approx(3.0, rel=1e-13)
         # alpha_0 is the mass-weighted mean of the atom locations
-        assert rc.alpha[0] == pytest.approx((0.25 + 2 * 0.75) / 3, rel=1e-13)
+        assert alpha[0] == pytest.approx((0.25 + 2 * 0.75) / 3, rel=1e-13)
         with pytest.raises(cc.IllConditioned):
-            cc.recurrence_coefficients(m, 3, method="stieltjes")
+            _stieltjes_sweep(x, w, 3)
 
     def test_gapped_measure_coefficients_compute(self, gapped_sd):
         m = cc.measure_from_sd(gapped_sd, 0.0)

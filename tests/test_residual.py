@@ -101,23 +101,35 @@ class TestConsistency:
 
 
 @st.composite
-def _spectral_densities(draw):
+def _scalable_spectral_densities(draw):
     """J with a working generic route: power law, flat piecewise, linear
     tabulated (41 samples) or a family-less semicircle, with random
-    parameters."""
+    parameters; drawn as the map t -> t J."""
     kind = draw(st.sampled_from(["power_law", "flat", "tabulated", "semicircle"]))
     if kind == "power_law":
-        return cc.power_law_sd(draw(st.floats(0.2, 3.0)), 0.1, 1.0)
+        s = draw(st.floats(0.2, 3.0))
+        return lambda t: cc.power_law_sd(s, 0.1 * t, 1.0)
     lo = draw(st.floats(0.0, 1.0))
     hi = lo + draw(st.floats(0.3, 2.0))
     if kind == "flat":
-        return cc.piecewise_uniform_sd([(lo, hi, draw(st.floats(0.1, 2.0)))])
+        h = draw(st.floats(0.1, 2.0))
+        return lambda t: cc.piecewise_uniform_sd([(lo, hi, h * t)])
     if kind == "tabulated":
         ends = draw(st.tuples(st.floats(0.0, 2.0), st.floats(0.1, 2.0)))
-        return cc.tabulated_sd(np.linspace(lo, hi, 41), np.linspace(*ends, 41))
+        return lambda t: cc.tabulated_sd(np.linspace(lo, hi, 41),
+                                         t * np.linspace(*ends, 41))
     c = draw(st.floats(0.1, 2.0))
-    return cc.custom_sd(
-        lambda w: c * np.sqrt(np.maximum((w - lo) * (hi - w), 0.0)), ((lo, hi),))
+
+    def semicircle(t):
+        tc = t * c
+        return cc.custom_sd(
+            lambda w: tc * np.sqrt(np.maximum((w - lo) * (hi - w), 0.0)),
+            ((lo, hi),))
+    return semicircle
+
+
+def _spectral_densities():
+    return _scalable_spectral_densities().map(lambda scaled: scaled(1.0))
 
 
 class TestJacobiShiftProperty:
@@ -146,16 +158,67 @@ class TestContinuedFractionProperty:
     @given(J=_spectral_densities(), q=st.sampled_from([0, 1]))
     def test_one_step_of_the_continued_fraction(self, J, q):
         lam = cc.measure_from_sd(J, float(q))
-        seq = cc.SecondarySequence.build(lam, 1, mode="beta_normalized")
+        seq = cc.SecondarySequence.build(lam, 1)
         nu1 = seq.member_measure(1)
         alpha0, beta0 = seq.rc.alpha[0], seq.rc.beta[0]
         lo, hi = lam.hull
         span = hi - lo
         for z in (hi + 0.3 * span, lo - 0.3 * span,
                   complex(lo + 0.4 * span, 0.2 * span)):
-            s = cc.stieltjes_transform(lam, z)
+            s = cc.stieltjes_transform(seq.base, z)
             cf = beta0 / (z - alpha0 - cc.stieltjes_transform(nu1, z))
             assert abs(s - cf) <= 1e-13 * abs(s), z
+
+
+class TestMassScale:
+    # Only beta_0 depends on the mass of d-lambda^q: beta_n and J_n (n >= 1)
+    # do not.  The sequence divides its base by the power of four nearest
+    # beta_0, which is exact, so a power of four keeps every bit of J_n.
+    # An odd power of two leaves the base a factor 2 off the unscaled one,
+    # and P then scales by sqrt(2), rounded: over 113 odd draws of this
+    # strategy J_n moved by at most 3.8e-14, relative.
+    @settings(deadline=None, max_examples=20, derandomize=True)
+    @given(scaled=_scalable_spectral_densities(), q=st.sampled_from([0, 1]),
+           k=st.integers(-880, 880))
+    def test_power_of_two_scale(self, scaled, q, k):
+        ref = cc.ResidualDensity.build(scaled(1.0), q, 3)
+        rd = cc.ResidualDensity.build(scaled(math.ldexp(1.0, k)), q, 3)
+        assert np.array_equal(rd.seq.rc.beta[1:], ref.seq.rc.beta[1:])
+        grid = np.linspace(*ref.clipped_range(), 33)
+        for n in (1, 2, 3):
+            if k % 2 == 0:
+                assert np.array_equal(rd(n, grid), ref(n, grid)), n
+            else:
+                np.testing.assert_allclose(rd(n, grid), ref(n, grid),
+                                           rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("kind", ["flat", "tabulated", "semicircle"])
+    def test_decimal_scales_keep_j_n(self, kind, q):
+        # Without the rescaled base, J_n read 0, inf or nan from about
+        # |k| = 160 on (a flat J of height 1e160 gave J_1 = 0).  The spread
+        # left is the rounding of the scaled input: 8.9e-14 at worst over
+        # every k in -300..300, on the linear tabulated J at q = 0.
+        def make(t):
+            if kind == "flat":
+                return cc.piecewise_uniform_sd([(0.2, 1.4, 0.7 * t)])
+            if kind == "tabulated":
+                return cc.tabulated_sd(np.linspace(0.1, 1.3, 41),
+                                       t * np.linspace(0.3, 1.1, 41))
+            return cc.custom_sd(
+                lambda w: 0.8 * t * np.sqrt(np.maximum((w - 0.3) * (2.1 - w), 0.0)),
+                ((0.3, 2.1),))
+
+        ref = cc.ResidualDensity.build(make(1.0), q, 3)
+        grid = np.linspace(*ref.clipped_range(), 17)
+        want = [ref(n, grid) for n in (1, 2, 3)]
+        for k in range(-300, 301, 5):
+            rd = cc.ResidualDensity.build(make(10.0**k), q, 3)
+            for n in (1, 2, 3):
+                got = rd(n, grid)
+                assert np.all(np.isfinite(got) & (got > 0)), (k, n)
+                np.testing.assert_allclose(got, want[n - 1], rtol=2e-13,
+                                           atol=0, err_msg=f"k={k}, n={n}")
 
 
 class TestRejections:

@@ -45,11 +45,12 @@ class TestSequenceDensity:
         seq = cc.SecondarySequence.build(semicircle, 4)
         xs = np.linspace(-0.95, 0.95, 41)
         base = semicircle.weight(xs)
+        # every member is the base at mass beta_n = 1/4
         for n in range(1, 5):
-            np.testing.assert_allclose(seq.density(n, xs), base, atol=1e-9)
+            np.testing.assert_allclose(seq.density(n, xs), base / 4, atol=1e-9)
 
     def test_ohmic_beta_normalized_goldens(self, weight_x):
-        seq = cc.SecondarySequence.build(weight_x, 2, mode="beta_normalized")
+        seq = cc.SecondarySequence.build(weight_x, 2)
         # nu_1(1/2) = 1/(pi^2 + 4): the log term vanishes at the midpoint
         assert seq.density(1, 0.5) == pytest.approx(1 / (math.pi**2 + 4),
                                                     rel=1e-12)
@@ -59,7 +60,7 @@ class TestSequenceDensity:
 
     def test_printed_ohmic_member_profiles(self, weight_x):
         # Secondary members of weight x on [0,1] in closed form.
-        seq = cc.SecondarySequence.build(weight_x, 3, mode="beta_normalized")
+        seq = cc.SecondarySequence.build(weight_x, 3)
         xs = np.linspace(0.05, 0.95, 19)
         log = np.log((1 - xs) / xs)
         m1 = xs / (2 * (math.pi**2 * xs**2 + (1 + xs * log) ** 2))
@@ -72,35 +73,19 @@ class TestSequenceDensity:
                           * (1 + xs * log)) ** 2)
         np.testing.assert_allclose(seq.density(3, xs), m3, rtol=1e-11)
 
-    def test_beta_normalized_vs_normalized_link(self, weight_x):
-        # nu_n = beta_n(d nu_0) * mu_n pointwise
-        bseq = cc.SecondarySequence.build(weight_x, 3, mode="beta_normalized")
-        nseq = cc.SecondarySequence.build(weight_x, 3, mode="normalized")
-        xs = np.linspace(0.05, 0.95, 17)
-        for n in range(1, 4):
-            np.testing.assert_allclose(bseq.density(n, xs),
-                                       bseq.rc.beta[n] * nseq.density(n, xs),
-                                       rtol=1e-8)
-
     def test_member_masses(self, weight_x):
-        seq = cc.SecondarySequence.build(weight_x, 2, mode="beta_normalized")
+        seq = cc.SecondarySequence.build(weight_x, 2)
         assert seq.member_measure(1).total_mass() == pytest.approx(1 / 18,
                                                                    abs=1e-6)
         assert seq.member_measure(2).total_mass() == pytest.approx(0.06,
                                                                    abs=1e-6)
-        assert seq.member_mass(1) == pytest.approx(1 / 18, rel=1e-12)
-        assert seq.member_mass(2) == pytest.approx(0.06, rel=1e-12)
-
-    def test_normalized_members_have_unit_mass(self, weight_x):
-        seq = cc.SecondarySequence.build(weight_x, 2, mode="normalized")
-        for n in (1, 2):
-            assert seq.member_measure(n).total_mass() == pytest.approx(
-                1.0, abs=1e-8)
+        assert seq.rc.beta[1] == pytest.approx(1 / 18, rel=1e-12)
+        assert seq.rc.beta[2] == pytest.approx(0.06, rel=1e-12)
 
     def test_jacobi_shift_flagship(self, weight_2x):
         # Coefficients of the evaluated member mu_m equal the base
         # coefficients shifted by m (first m rows/columns crossed out).
-        seq = cc.SecondarySequence.build(weight_2x, 3, mode="normalized")
+        seq = cc.SecondarySequence.build(weight_2x, 3)
         parent = cc.recurrence_coefficients(seq.base, 8)
         for m in (1, 2, 3):
             child = cc.recurrence_coefficients(seq.member_measure(m), 5,
@@ -132,22 +117,19 @@ class TestSequenceDensity:
             cc.SecondarySequence.build(m, 2)
         assert cc.find_gap_zero(m) == pytest.approx(1.5, abs=1e-10)
 
-    def test_point_masses_rejected(self, weight_x):
-        m = cc.Measure(weight_x.weight, weight_x.support,
-                       point_masses=(cc.PointMass(0.5, 1.0),))
-        with pytest.raises(cc.UnsupportedMeasure):
-            cc.SecondarySequence.build(m, 2)
-
     def test_order_bounds(self, weight_x):
         seq = cc.SecondarySequence.build(weight_x, 2)
         with pytest.raises(IndexOutOfRange):
             seq.density(0, 0.5)
         with pytest.raises(IndexOutOfRange):
             seq.density(3, 0.5)
+        for n in (0, 3):
+            with pytest.raises(IndexOutOfRange):
+                seq.member_measure(n)
 
     def test_reducer_runs_once_per_grid(self, weight_x, monkeypatch):
         plain = cc.Measure(weight_x.weight, weight_x.support)
-        seq = cc.SecondarySequence.build(plain, 3, mode="beta_normalized")
+        seq = cc.SecondarySequence.build(plain, 3)
         calls = []
         real = stieltjes._reducer_lipschitz
 
@@ -165,7 +147,7 @@ class TestSequenceDensity:
         xs[0] = 0.12
         seq.density(1, xs)
         assert calls == [17, 17]
-        fresh = cc.SecondarySequence.build(plain, 3, mode="beta_normalized")
+        fresh = cc.SecondarySequence.build(plain, 3)
         assert np.array_equal(seq.density(3, xs), fresh.density(3, xs))
 
 

@@ -339,8 +339,7 @@ class TestRowRefinement:
         # S(z) integrates every tanh-sinh node, coinciding positions
         # included; the reducer evaluates each position once
         seq = cc.SecondarySequence.build(
-            cc.measure_from_sd(_familyless_semicircle(0.3, 2.1, 0.7), 0.0), 2,
-            mode="beta_normalized")
+            cc.measure_from_sd(_familyless_semicircle(0.3, 2.1, 0.7), 0.0), 2)
         rows = []
         route = stieltjes._reducer_lipschitz
 
