@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -316,12 +316,20 @@ class Measure(_Supported):
     family : analytic family descriptor, optional
         Enables closed-form recurrence coefficients / reducers, and gives
         the weight's derivative to the generic reducer routes.
+
+    The weight at the positions of each tanh-sinh level on the hull
+    (``_columns``), the Lipschitz reducer's columns, is evaluated once and
+    kept, read-only, as long as the measure lives; a measure built anew,
+    even from the same weight, starts without it.
     """
 
     weight: Callable
     support: Intervals
     tail: TailBound | None = None
     family: WeightFamily | None = None
+    # {(level, added): weight at map_nodes(level, *hull, added)}, read-only
+    _column_weights: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "support", _check_intervals(self.support))
@@ -344,6 +352,18 @@ class Measure(_Supported):
         if isinstance(fam, (SemicircleWeight, UniformWeight)):
             return cls(fam.weight, ((fam.a, fam.b),), family=fam)
         raise DomainError(f"unknown family {fam!r}")
+
+    def _columns(self, level: int, added: bool):
+        """``quadrature.map_nodes(level, *hull, added=added)`` and the weight
+        at its positions, ``(t, w, mu_t)``; mu_t is evaluated on the first
+        call per ``(level, added)`` and shared, read-only, after it."""
+        t, w = quadrature.map_nodes(level, *self.hull, added=added)
+        mu_t = self._column_weights.get((level, added))
+        if mu_t is None:
+            mu_t = np.array(self.weight(t), float)
+            mu_t.flags.writeable = False
+            self._column_weights[(level, added)] = mu_t
+        return t, w, mu_t
 
     # -- integration -------------------------------------------------------
 
@@ -552,8 +572,22 @@ def power_law_exp_sd(s: float, alpha: float, omega_c: float = 1.0) -> SpectralDe
                            m0_family=_normal_mass(PowerLawExpWeight(coeff, s, omega_c)))
 
 
+def _check_normal(what: str, values) -> None:
+    """Raise DomainError on the first value that is nonzero but below the
+    smallest normal float: a subnormal J has a chain measure whose mass
+    and coefficients do not fit in a double.  Zero stays legal."""
+    values = np.asarray(values, float)
+    tiny = values[(values > 0.0) & (values < sys.float_info.min)]
+    if len(tiny):
+        raise DomainError(f"{what} {float(tiny[0])!r} is nonzero but below the "
+                          f"smallest normal float, {sys.float_info.min!r}")
+
+
 def tabulated_sd(omega: Sequence[float], values: Sequence[float]) -> SpectralDensity:
-    """Linear interpolant through (omega, J) samples; support is their range."""
+    """Linear interpolant through (omega, J) samples; support is their range.
+
+    Samples must be nonnegative, and each nonzero one a normal float
+    (at least sys.float_info.min); otherwise raises DomainError."""
     omega = np.asarray(omega, float)
     values = np.asarray(values, float)
     if omega.ndim != 1 or omega.shape != values.shape or len(omega) < 2:
@@ -562,6 +596,7 @@ def tabulated_sd(omega: Sequence[float], values: Sequence[float]) -> SpectralDen
         raise DomainError("tabulated frequencies must be strictly increasing")
     if np.any(values < 0):
         raise DomainError("tabulated spectral density must be nonnegative")
+    _check_normal("tabulated sample", values)
     return SpectralDensity(
         lambda w: np.interp(np.asarray(w, float), omega, values),
         ((float(omega[0]), float(omega[-1])),))
@@ -572,11 +607,14 @@ def piecewise_uniform_sd(pieces: Sequence[tuple[float, float, float]]) -> Spectr
 
     A single piece h on [lo, hi] is a flat J: its chain measures are the
     constant h/pi on [lo, hi] (q = 0) and on [lo**2, hi**2] (q = 1), so it
-    carries UniformWeight families there.
+    carries UniformWeight families there.  Heights must be nonnegative,
+    and each nonzero one a normal float (at least sys.float_info.min);
+    otherwise raises DomainError.
     """
     pieces = sorted((float(lo), float(hi), float(h)) for lo, hi, h in pieces)
     if any(h < 0 for _, _, h in pieces):
         raise DomainError("piecewise heights must be nonnegative")
+    _check_normal("piecewise height", [h for _, _, h in pieces])
     support = tuple((lo, hi) for lo, hi, _ in pieces)
 
     def evaluator(w):

@@ -24,9 +24,12 @@ doubles there, so about half of each level rounds onto a few positions
 each distinct position once with the summed weight of its nodes, so every
 consumer that reads positions only evaluates each one once; only
 ``integrate(..., with_distances=True)`` sees every node, since the
-distances tell coinciding nodes apart.  One chain-plus-report computation
-asks for the same few levels on the same intervals dozens of times, so
-``map_nodes`` builds each map once and keeps it in a bounded cache.
+distances tell coinciding nodes apart.  A map takes its positions half
+by half, a + half * dist_left for k <= 0 and b - half * dist_right for
+k > 0 (exactly where ``_every_node`` picks each form), and no distances.
+One chain-plus-report computation asks for the same few levels on the
+same intervals dozens of times, so ``map_nodes`` builds each map once and
+keeps it in a bounded cache.
 
 All reductions (``np.sum``, and ``np.add.reduceat`` for the merged weights)
 run over a fixed node ordering, so repeated runs are bit-identical.
@@ -83,6 +86,15 @@ def _rule(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return cached
 
 
+def _level_nodes(level: int, added: bool):
+    """``_rule(level)``, or with ``added`` its nodes at odd k only."""
+    k, dl, dr, w = _rule(level)
+    if not added:
+        return k, dl, dr, w
+    odd = slice(1 - k[0] % 2, None, 2)
+    return k[odd], dl[odd], dr[odd], w[odd]
+
+
 def _every_node(level: int, a: float, b: float, added: bool = False):
     """Every node of the rule mapped to [a, b], coinciding positions
     included: ``(x, dist_a, dist_b, weights)``, x non-decreasing.
@@ -93,10 +105,7 @@ def _every_node(level: int, a: float, b: float, added: bool = False):
     plus their sum is the level's sum, up to the few outermost previous
     nodes whose halved weights fall below the cut-off.
     """
-    k, dl, dr, w = _rule(level)
-    if added:
-        odd = slice(1 - k[0] % 2, None, 2)
-        dl, dr, w = dl[odd], dr[odd], w[odd]
+    _, dl, dr, w = _level_nodes(level, added)
     half = 0.5 * (b - a)
     da = half * dl
     db = half * dr
@@ -125,9 +134,14 @@ def map_nodes(level: int, a: float, b: float, added: bool = False):
 
 
 def _merged(level: int, a: float, b: float, added: bool):
-    x, _, _, w = _every_node(level, a, b, added)
-    first = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    x, w = x[first], np.add.reduceat(w, first)
+    """``map_nodes``' map, built without the distances: the positions of
+    ``_every_node`` half by half, since dl <= dr exactly where k <= 0."""
+    k, dl, dr, w = _level_nodes(level, added)
+    half = 0.5 * (b - a)
+    mid = np.searchsorted(k, 0, "right")
+    x = np.concatenate([a + half * dl[:mid], b - half * dr[mid:]])
+    first = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1]]))
+    x, w = x[first], np.add.reduceat(w * half, first)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

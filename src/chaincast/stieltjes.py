@@ -6,7 +6,11 @@ of the density in every secondary-measure formula.  ``reducer`` takes the
 closed form attached to an analytic weight family, else the
 Lipschitz-regularized form, which replaces its difference quotient by mu'
 at the midpoint in a narrow band around t = x whose width is scaled to x's
-distance from the nearer endpoint.  The integrated-by-parts C^1 form
+distance from the nearer endpoint.  That route reads mu at each level's
+tanh-sinh positions from the measure's column cache (``Measure._columns``),
+so a measure evaluates them once however often it is reduced, and forms
+its kernel in row blocks inside one workspace per call (``_pv_sums``), so
+the blocks allocate nothing.  The integrated-by-parts C^1 form
 (``_reducer_derivative_form``) is kept as a cross-check of that route.
 
 Every real-axis integral of a kernel of z - t (the Cauchy transform S(z)
@@ -122,12 +126,18 @@ def _weight_derivative(m: Measure, x: np.ndarray, step) -> np.ndarray:
     return (m.weight(x + step) - m.weight(x - step)) / (2.0 * step)
 
 
-def _pv_sums(m: Measure, x, mu_x, delta, t, mu_t, w) -> np.ndarray:
+def _pv_sums(m: Measure, x, mu_x, delta, t, mu_t, w, work=None) -> np.ndarray:
     """sum_j w_j (mu(t_j) - mu(x_i)) / (t_j - x_i) for every x_i, with the
     quotient replaced by mu' at the midpoint (x_i + t_j)/2 where
     |t_j - x_i| < delta_i; formed in row blocks of at most PV_BLOCK_CELLS
     cells.  t must be sorted: the few band cells are found by binary search
-    and written into each block, so no dense mask is formed."""
+    and written into each block, so no dense mask is formed.
+
+    Each block's mu_t - mu_x and t - x are written into ``work``, a
+    workspace of shape (2, n) with n at least the block's cell count
+    (PV_BLOCK_CELLS, for t of at most that many columns), and divided in
+    place; one workspace serves every call of a reducer, so the blocks
+    allocate nothing.  Without one, one is allocated for this call."""
     # Candidates lie within 2 delta_i, a margin that the rounding of
     # x -+ 2 delta and of t - x cannot defeat; the exact test keeps the
     # cells a dense |t - x| < delta mask would select.
@@ -142,6 +152,8 @@ def _pv_sums(m: Measure, x, mu_x, delta, t, mu_t, w) -> np.ndarray:
 
     out = np.empty(len(x))
     rows = max(1, PV_BLOCK_CELLS // len(t))
+    if work is None:
+        work = np.empty((2, rows * len(t)))
     starts = np.arange(0, len(x), rows)
     # ci is sorted, so each block's band cells are one slice of it
     edges = np.searchsorted(ci, np.append(starts, len(x)))
@@ -149,8 +161,12 @@ def _pv_sums(m: Measure, x, mu_x, delta, t, mu_t, w) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, i in enumerate(starts):
             blk = slice(i, i + rows)
-            quot = mu_t[None, :] - mu_x[blk, None]
-            quot /= t[None, :] - x[blk, None]
+            shape = (min(rows, len(x) - i), len(t))
+            quot = work[0, :shape[0] * shape[1]].reshape(shape)
+            diff = work[1, :quot.size].reshape(shape)
+            np.subtract(mu_t[None, :], mu_x[blk, None], out=quot)
+            np.subtract(t[None, :], x[blk, None], out=diff)
+            quot /= diff
             cells = slice(edges[k], edges[k + 1])
             quot[ci[cells] - i, cj[cells]] = band[cells]
             out[blk] = quot @ w
@@ -167,11 +183,10 @@ def _first_level(m: Measure) -> int:
     Such a feature, if the level-(MIN_LEVEL + 1) nodes see it, moves the
     coarse sums of mu by its mass and so keeps the start fine.
     """
-    a, b = m.hull
     sums = []
     for level in range(PV_MIN_LEVEL, quadrature.MIN_LEVEL + 2):
-        t, w = quadrature.map_nodes(level, a, b, added=bool(sums))
-        part = np.asarray(m.weight(t), float) @ w
+        _, w, mu_t = m._columns(level, added=bool(sums))
+        part = mu_t @ w
         sums.append(0.5 * sums[-1] + part if sums else part)
     for level, s in enumerate(sums[1:-1], PV_MIN_LEVEL):
         if abs(s - sums[-1]) <= PV_REL_TOL * abs(sums[-1]):
@@ -196,7 +211,9 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     The integral runs over the nested tanh-sinh levels from
     ``_first_level`` through ``quadrature._refine``, one row per x.  The
     columns t of each level are its distinct positions with summed weights
-    (``quadrature.map_nodes``), sorted as ``_pv_sums`` needs, and
+    (``quadrature.map_nodes``), sorted as ``_pv_sums`` needs, with mu(t)
+    from the measure's column cache (``Measure._columns``, which
+    ``_first_level`` reads too), and
     ``reducer`` hands in distinct rows x in increasing order, so each
     position is evaluated once however often its caller repeats it (the
     every-node quadrature of ``_real_axis_integral`` does), and the warning
@@ -206,17 +223,19 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
     not settle (on an even grid, those within about 1e-12 of the span from
     an endpoint) run on to the last level, where they are logged as a
     warning, not raised.  The kernel is formed in row blocks
-    (``_pv_sums``), so memory does not grow with len(x) times the node
-    count.
+    (``_pv_sums``) inside one workspace of 2 * PV_BLOCK_CELLS doubles
+    allocated per call and shared by every level, so memory does not grow
+    with len(x) times the node count and no block allocates.
     """
     a, b = m.hull
     delta = PV_BAND_FRACTION * np.minimum(x - a, b - x)
     mu_x = np.asarray(m.weight(x), float)
 
+    work = np.empty((2, PV_BLOCK_CELLS))
+
     def part(level, added, rows):
-        t, w = quadrature.map_nodes(level, a, b, added=added)
-        return _pv_sums(m, x[rows], mu_x[rows], delta[rows], t,
-                        np.asarray(m.weight(t), float), w)
+        t, w, mu_t = m._columns(level, added)
+        return _pv_sums(m, x[rows], mu_x[rows], delta[rows], t, mu_t, w, work)
 
     def accept(cur, prev, rows):
         # kept for the warning: at the last level, the rows that fail

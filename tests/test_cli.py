@@ -146,9 +146,14 @@ class TestValidate:
         ("spectral_density.intervals", [[0, 1, -1]], "nonnegative"),
         ("spectral_density.intervals", [[2, 3, 1], [0, 2.5, 1]], "disjoint"),
         ("spectral_density.intervals", [[0, 1, 1], [1, 2, 0.5]], "disjoint"),
+        ("spectral_density.samples_path", "0.0,1e-310\n1.0,2e-310\n",
+         "tabulated sample 1e-310 is nonzero but below the smallest normal"),
+        ("spectral_density.intervals", [[0, 1, 1e-310]],
+         "piecewise height 1e-310 is nonzero but below the smallest normal"),
     ], ids=["s", "alpha", "omega_c-zero", "omega_c-negative", "one-sample",
             "omega-repeated", "J-negative", "omega-negative", "lo-above-hi",
-            "lo-negative", "height-negative", "overlap", "touching"])
+            "lo-negative", "height-negative", "overlap", "touching",
+            "J-subnormal", "height-subnormal"])
     def test_constructor_rules_exit_2(self, tmp_path, capsys, field, spec,
                                       reason):
         # Each rule lives in the constructor; the CLI names the field.

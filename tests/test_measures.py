@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -180,6 +181,27 @@ class TestStructure:
             cc.tabulated_sd([0.0, 0.5, 0.4], [1.0, 1.0, 1.0])
         with pytest.raises(DomainError):
             cc.tabulated_sd([0.0, 0.5, 1.0], [1.0, -1.0, 1.0])
+
+    @pytest.mark.parametrize("make, named", [
+        (lambda: cc.piecewise_uniform_sd([(0.0, 1.0, 1e-310)]),
+         "piecewise height 1e-310"),
+        (lambda: cc.piecewise_uniform_sd([(0.0, 1.0, 1.0), (2.0, 3.0, 5e-324)]),
+         "piecewise height 5e-324"),
+        (lambda: cc.tabulated_sd([0.0, 1.0], [1e-310, 2e-310]),
+         "tabulated sample 1e-310"),
+        (lambda: cc.tabulated_sd([0.0, 0.5, 1.0], [0.0, 1.0, 2e-310]),
+         "tabulated sample 2e-310"),
+    ], ids=["flat", "second-piece", "tabulated", "tabulated-last"])
+    def test_subnormal_heights_rejected(self, make, named):
+        # a subnormal J has a chain measure whose mass does not fit in a
+        # double; the constructor names the value, as for the power laws
+        with pytest.raises(DomainError, match=named):
+            make()
+
+    def test_zero_and_smallest_normal_heights_accepted(self):
+        tiny = sys.float_info.min
+        cc.piecewise_uniform_sd([(0.0, 1.0, 0.0), (2.0, 3.0, tiny)])
+        cc.tabulated_sd([0.0, 0.5, 1.0], [0.0, tiny, 1.0])
 
 
 def _random_flats(count, seed):

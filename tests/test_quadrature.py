@@ -115,6 +115,19 @@ class TestMergedNodes:
         (x, _), (pos, _) = self._subsets(level, 0.0, 1.0)[0]
         assert len(pos) < len(x)
 
+    @pytest.mark.parametrize("added", [False, True])
+    @pytest.mark.parametrize("level", range(3, quadrature.MAX_LEVEL + 1))
+    @pytest.mark.parametrize("a, b", [(0.0, 1.3), (0.3, 2.1), (1e-3, 7.7),
+                                      (0.25, 0.2500001)])
+    def test_map_is_every_node_merged(self, a, b, level, added):
+        # the map is built half by half; it must be what merging every
+        # node of ``_every_node`` gives, bit for bit
+        x, _, _, w = quadrature._every_node(level, a, b, added)
+        first = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+        pos, summed = quadrature._merged(level, a, b, added)
+        assert np.array_equal(pos, x[first])
+        assert np.array_equal(summed, np.add.reduceat(w, first))
+
     def test_maps_are_built_once_and_read_only(self):
         first = quadrature.map_nodes(7, 0.3, 1.6, added=True)
         again = quadrature.map_nodes(7, 0.3, 1.6, added=True)

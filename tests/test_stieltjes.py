@@ -626,6 +626,112 @@ class TestPvKernel:
             assert np.array_equal(got, want), kind
 
 
+class TestKernelMemory:
+    """One reducer call shares one workspace among all its ``_pv_sums``
+    calls, so the kernel's blocks allocate nothing."""
+
+    @staticmethod
+    def _inputs():
+        m = cc.measure_from_sd(_familyless_semicircle(0.3, 2.1, 0.7), 0.0)
+        a, b = m.hull
+        x = np.linspace(*stieltjes.evaluation_band(m), 4096)
+        t, w = quadrature.map_nodes(4, a, b, added=True)
+        delta = stieltjes.PV_BAND_FRACTION * np.minimum(x - a, b - x)
+        return (m, x, np.asarray(m.weight(x), float), delta, t,
+                np.asarray(m.weight(t), float), w)
+
+    def test_workspace_keeps_the_peak_below_one_block(self):
+        args = self._inputs()
+        work = np.empty((2, stieltjes.PV_BLOCK_CELLS))
+        tracemalloc.start()
+        try:
+            got = stieltjes._pv_sums(*args, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of PV_BLOCK_CELLS doubles is 512 KiB; two such
+        # temporaries per block took the peak to about 1250 KiB
+        assert peak < stieltjes.PV_BLOCK_CELLS * 8
+        assert np.array_equal(got, stieltjes._pv_sums(*args))
+
+
+class TestColumnCache:
+    """A measure evaluates its weight once per tanh-sinh column set and
+    keeps the values; the reducer's results do not depend on whether they
+    were kept."""
+
+    A, B = 0.3, 2.1
+
+    @classmethod
+    def _semicircle(cls, calls=None):
+        def weight(x):
+            if calls is not None:
+                calls.append(x)
+            return 0.7 * np.sqrt(np.maximum((x - cls.A) * (cls.B - x), 0.0))
+        return weight
+
+    def _rows(self, m):
+        return np.linspace(*stieltjes.evaluation_band(m), 300)
+
+    def test_cached_columns_give_the_same_reducer(self, caplog):
+        weight = self._semicircle()
+        m = cc.Measure(weight, ((self.A, self.B),))
+        xs = self._rows(m)
+        with caplog.at_level(logging.WARNING, logger="chaincast.stieltjes"):
+            first = cc.reducer(m, xs)
+            assert m._column_weights
+            again = cc.reducer(m, xs)
+            fresh = cc.reducer(cc.Measure(weight, ((self.A, self.B),)), xs)
+        assert np.array_equal(first, again)
+        assert np.array_equal(first, fresh)
+
+    def test_weight_is_evaluated_once_per_column_set(self, caplog):
+        for _ in range(2):  # a fresh measure evaluates its columns anew
+            calls = []
+            m = cc.Measure(self._semicircle(calls), ((self.A, self.B),))
+            xs = self._rows(m)
+            with caplog.at_level(logging.WARNING, logger="chaincast.stieltjes"):
+                cc.reducer(m, xs)
+                cc.reducer(m, xs)
+            columns = {key: quadrature.map_nodes(key[0], self.A, self.B,
+                                                 added=key[1])[0]
+                       for key in m._column_weights}
+            first = stieltjes._first_level(m)
+            assert (first, False) in columns
+            assert (quadrature.MAX_LEVEL, True) in columns
+            per_set = {key: sum(x is t for x in calls)
+                       for key, t in columns.items()}
+            assert per_set == dict.fromkeys(columns, 1)
+            # once per reducer call for the rows; the other calls are the
+            # band cells' centered differences
+            rows = [x for x in calls
+                    if x.shape == xs.shape and np.array_equal(x, xs)]
+            assert len(rows) == 2
+
+    def test_cached_columns_are_read_only(self):
+        m = cc.Measure(self._semicircle(), ((self.A, self.B),))
+        t, w, mu_t = m._columns(5, True)
+        assert mu_t is m._columns(5, True)[2]
+        assert np.array_equal(mu_t, m.weight(t))
+        for arr in (t, w, mu_t):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_first_level_follows_the_minimum_level(self, monkeypatch):
+        # the columns are cached, not the first level they give
+        weight = self._semicircle()
+        cached = cc.Measure(weight, ((self.A, self.B),))
+        stieltjes._first_level(cached)
+        firsts = set()
+        for low in range(stieltjes.PV_MIN_LEVEL, quadrature.MIN_LEVEL + 1):
+            monkeypatch.setattr(stieltjes, "PV_MIN_LEVEL", low)
+            got = stieltjes._first_level(cached)
+            assert got == stieltjes._first_level(
+                cc.Measure(weight, ((self.A, self.B),)))
+            firsts.add(got)
+        assert len(firsts) > 1
+
+
 class TestPerronInversion:
     def test_semicircle_center(self, semicircle):
         limit = 2 / math.pi
