@@ -22,6 +22,7 @@ table can overflow or underflow however large or small the mass of nu_0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
     IndexOutOfRange,
     InsufficientMoments,
     UnsupportedMeasure,
+    ZeroMass,
 )
 from .measures import Measure, scale_mass
 from .orthopoly import (
@@ -70,12 +72,22 @@ class SecondarySequence:
 
     @classmethod
     def build(cls, measure: Measure, order: int) -> "SecondarySequence":
-        """Prepare a sequence supporting members 1..order."""
+        """Prepare a sequence supporting members 1..order.
+
+        Raises ZeroMass when beta_0, the mass of the measure, is below the
+        smallest normal double."""
         if not measure.gapless:
             raise GappedMeasure(
                 "secondary measures do not exist for gapped measures "
                 "(the Stieltjes transform vanishes inside the gap)")
         rc = recurrence_coefficients(measure, order + 1)
+        if not rc.beta[0] >= sys.float_info.min:
+            # a subnormal mass has lost digits, and the power of four
+            # nearest it may not be a double
+            raise ZeroMass(
+                f"beta_0 = {float(rc.beta[0])!r} is below the smallest normal double "
+                f"sys.float_info.min = {sys.float_info.min!r}: the base "
+                "cannot be normalized")
         scale = math.ldexp(1.0, -2 * round(math.frexp(rc.beta[0])[1] / 2))
         beta = rc.beta.copy()
         beta[0] *= scale

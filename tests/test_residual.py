@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,3 +265,47 @@ class TestPhononBandEdge:
         rng = np.random.default_rng(20261018)
         for omega_c in rng.uniform(0.5, 2.5, 400):
             self._sample_ends(cc.power_law_sd(1.0, 0.1, omega_c))
+
+
+_BLAS_CHILD = """
+import hashlib
+import numpy as np
+import chaincast as cc
+b, c = 1.3, 0.7
+sd = cc.custom_sd(lambda w: c * np.sqrt(np.maximum(w * (b - w), 0.0)),
+                  ((0.0, b),), ((0.5, 0.5),))
+rd = cc.ResidualDensity.build(sd, 1, 3)
+grid = np.linspace(*rd.clipped_range(), 2048)
+digest = hashlib.sha256()
+for n in (1, 2, 3):
+    digest.update(np.asarray(rd(n, grid), float).tobytes())
+gaps = cc.convergence_report(sd, 1.0, 6, 3).terminal_moment_gap
+assert sorted(gaps) == [1, 2, 3]
+for n in (1, 2, 3):
+    digest.update(np.asarray(gaps[n], float).tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    """The Lipschitz reducer sums each kernel block with a BLAS gemv; a
+    family-less job gives the same bits however many threads OpenBLAS may
+    use."""
+
+    def test_familyless_semicircle_bits(self):
+        # J_1..J_3 on a 2048-point grid and the report's terminal moment
+        # gaps of the family-less semicircle on [0, 1.3] at q = 1, each
+        # setting in a fresh interpreter, run side by side
+        src = str(Path(cc.__file__).resolve().parents[1])
+        children = [
+            subprocess.Popen([sys.executable, "-c", _BLAS_CHILD], text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONPATH=src,
+                                      OPENBLAS_NUM_THREADS=threads))
+            for threads in ("1", "2")]
+        digests = []
+        for child in children:
+            out, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err
+            digests.append(out.split()[-1])
+        assert digests[0] == digests[1]

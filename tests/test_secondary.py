@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from chaincast.errors import (
     GappedMeasure,
     IndexOutOfRange,
     InsufficientMoments,
+    ZeroMass,
 )
 
 
@@ -116,6 +118,24 @@ class TestSequenceDensity:
         with pytest.raises(GappedMeasure):
             cc.SecondarySequence.build(m, 2)
         assert cc.find_gap_zero(m) == pytest.approx(1.5, abs=1e-10)
+
+    def test_subnormal_mass_raises_zero_mass(self):
+        # the power of four nearest a subnormal beta_0 may overflow
+        m = cc.Measure.from_family(cc.measures.UniformWeight(1e-310, 0.0, 1.0))
+        with pytest.raises(ZeroMass, match=r"beta_0 = 1e-310 .*float_info\.min"):
+            cc.SecondarySequence.build(m, 2)
+
+    def test_smallest_normal_mass_builds(self):
+        # beta_0 = sys.float_info.min builds, on a base scaled by 4**510,
+        # and its members keep every bit they have at unit height
+        xs = np.linspace(0.1, 0.9, 9)
+        tiny, unit = (
+            cc.SecondarySequence.build(
+                cc.Measure.from_family(cc.measures.UniformWeight(h, 0.0, 1.0)), 2)
+            for h in (sys.float_info.min, 1.0))
+        assert tiny.rc.beta[0] == 0.25
+        for n in (1, 2):
+            assert np.array_equal(tiny.density(n, xs), unit.density(n, xs))
 
     def test_order_bounds(self, weight_x):
         seq = cc.SecondarySequence.build(weight_x, 2)

@@ -625,6 +625,76 @@ class TestPvKernel:
             assert np.all(np.isfinite(got)), kind
             assert np.array_equal(got, want), kind
 
+    @classmethod
+    def _layout_cases(cls, m):
+        """(rows, columns, weights) that reach every block layout of
+        ``_pv_sums``: many rows against narrow levels (several blocks,
+        filled column by column, with a short tail), column counts on both
+        sides of the width at which full blocks stop being filled column by
+        column and of the width below which numpy buffers a broadcast
+        (a third of the default ufunc buffer), one row against the widest
+        level, and rows with several band candidates."""
+        a, b = m.hull
+        lo, hi = stieltjes.evaluation_band(m)
+
+        def rows(t, n):
+            # the band and near-band rows of ``_rows``, spread over the
+            # blocks by sorting them among evenly spaced ones
+            special = np.concatenate(list(cls._rows(m, t).values()))
+            return np.sort(np.append(special, np.linspace(lo, hi, n - len(special))))
+
+        def spread(t, w, cols):
+            # cols of the columns, spread over the support
+            pick = np.linspace(0, len(t) - 1, cols).astype(int)
+            return t[pick], w[pick]
+
+        level3 = quadrature.map_nodes(3, a, b)
+        level4 = quadrature.map_nodes(4, a, b, added=True)
+        level11 = quadrature.map_nodes(11, a, b, added=True)
+        per_block = stieltjes.PV_BLOCK_CELLS // len(level3[0])
+        cases = {
+            "level3": (rows(level3[0], 4096), *level3),
+            "level4_added": (rows(level4[0], 4096), *level4),
+            "level3_short_tail": (rows(level3[0], per_block + 100), *level3),
+            "level11_added_one_row": (level11[0][len(level11[0]) // 3:][:1],
+                                      *level11),
+        }
+        # full blocks of 128 columns have 4 times as many rows as columns
+        for cols in (128, 129):
+            t, w = spread(*level11, cols)
+            cases[f"{cols}_columns"] = (rows(t, 4096), t, w)
+        buffered = np.getbufsize() // 3
+        for cols in (buffered, buffered + 1):
+            t, w = spread(*level11, cols)
+            cases[f"{cols}_columns"] = (rows(t, 400), t, w)
+        # columns added at 0.3 and 0.8 delta on both sides of some rows:
+        # four band cells and up to two more candidates per such row
+        x = rows(level3[0], 2000)
+        near = x[::37]
+        d = stieltjes.PV_BAND_FRACTION * np.minimum(near - a, b - near)
+        extra = np.concatenate([near + f * d for f in (-1.9, -0.8, -0.3, 0.3, 0.8, 1.5)])
+        t = np.concatenate([level3[0], extra])
+        order = np.argsort(t)
+        w = np.concatenate([level3[1], np.full(len(extra), 1e-3)])
+        cases["clustered_columns"] = (x, t[order], w[order])
+        return cases
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_block_layouts_match_dense_masks(self, name):
+        m = self.MEASURES[name]()
+        a, b = m.hull
+        for kind, (x, t, w) in self._layout_cases(m).items():
+            delta = stieltjes.PV_BAND_FRACTION * np.minimum(x - a, b - x)
+            mu_x = np.asarray(m.weight(x), float)
+            mu_t = np.asarray(m.weight(t), float)
+            got = stieltjes._pv_sums(m, x, mu_x, delta, t, mu_t, w)
+            want = _pv_sums_dense(m, x, mu_x, delta, t, mu_t, w)
+            assert np.all(np.isfinite(got)), kind
+            assert np.array_equal(got, want), kind
+            work = np.empty((2, stieltjes.PV_BLOCK_CELLS))
+            assert np.array_equal(
+                stieltjes._pv_sums(m, x, mu_x, delta, t, mu_t, w, work), want), kind
+
 
 class TestKernelMemory:
     """One reducer call shares one workspace among all its ``_pv_sums``
