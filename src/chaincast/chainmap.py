@@ -185,13 +185,12 @@ class ChainCoefficients:
         return self.rc.beta[:self.sites]
 
 
-def chain_coefficients(J: SpectralDensity, q: float, n: int,
-                       method: str = "auto") -> ChainCoefficients:
+def chain_coefficients(J: SpectralDensity, q: float, n: int) -> ChainCoefficients:
     """Chain Hamiltonian scalars for n sites (plus the n-th coupling)."""
     if n < 1:
         raise DomainError("need at least one chain site")
     m = measure_from_sd(J, q)
-    rc = recurrence_coefficients(m, n + 1, method=method)
+    rc = recurrence_coefficients(m, n + 1)
     alpha = rc.alpha[:n]
     sqb = np.sqrt(rc.beta[1:n + 1])
     return ChainCoefficients(

@@ -23,12 +23,12 @@ strictly increasing omega); "piecewise" takes intervals [[lo, hi, height],
 orthopoly.MAX_ORDER - 1 = 199.  A family's parameter rules are its
 constructor's; this module only parses.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (arithmetic
-overflow included, and a residual CSV or report that would hold a
-non-finite number, which is then not written), 4 unsupported
-request (residual densities of a gapped measure, or 0 < q < 1, or a
-reducer that is unavailable for the measure).  The report's moment_gaps
-hold orders 1..max(residual_orders), at most 6.
+Exit codes: 0 success, 2 config error (residual orders at 0 < q < 1
+included), 3 numerical failure (arithmetic overflow included, and a
+residual CSV or report that would hold a non-finite number, which is then
+not written), 4 unsupported request (residual densities of a gapped
+measure, or a reducer that is unavailable for the measure).  The report's
+moment_gaps hold orders 1..max(residual_orders), at most 6.
 Outputs are deterministic: identical configs give byte-identical files.
 """
 
@@ -289,8 +289,8 @@ def _write_residual_csv(path: str, grid, columns: dict[int, np.ndarray],
                      + "\n")
 
 
-def run(config: JobConfig) -> int:
-    """Execute a validated job; returns the exit code (``main`` maps errors)."""
+def run(config: JobConfig) -> None:
+    """Execute a validated job; ``main`` maps its errors to exit codes."""
     warnings: list[str] = []
     # A job that fails part-way must not leave an earlier job's outputs
     # beside its own.
@@ -311,9 +311,8 @@ def run(config: JobConfig) -> int:
                 where = f"zero in the gap not located: {exc}"
             else:
                 where = f"vanishes at z0={z0:.12g} inside the gap"
-            print("unsupported: residual densities of a gapped spectral "
-                  f"density (Stieltjes transform {where})", file=sys.stderr)
-            return EXIT_UNSUPPORTED
+            raise GappedMeasure("residual densities of a gapped spectral "
+                                f"density (Stieltjes transform {where})")
         clipped = report.residual.clipped_range()
     else:
         clipped = _j0_sample_range(config.sd)
@@ -359,7 +358,6 @@ def run(config: JobConfig) -> int:
         raise IllConditioned(f"{config.report_json}: {exc}") from exc
     with open(config.report_json, "w", newline="\n") as fh:
         fh.write(text + "\n")
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -389,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
               f"residual_orders={list(config.residual_orders)}")
         return EXIT_OK
     try:
-        return run(config)
+        run(config)
     except (UnsupportedMapping, UnsupportedMeasure, GappedMeasure) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -399,6 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # overflow or division by zero mid-run
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

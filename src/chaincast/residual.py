@@ -127,7 +127,6 @@ class ConsistencyReport:
     """
 
     n: int
-    depth: int
     alpha_deviation: np.ndarray
     beta_deviation: np.ndarray
 
@@ -145,10 +144,9 @@ def residual_consistency(J: SpectralDensity, q: int, n: int, depth: int,
     rd = ResidualDensity.build(J, q, max(n, 1))
     parent = recurrence_coefficients(rd.seq.base, n + depth + 1)
     if n == 0:
-        return ConsistencyReport(0, depth,
-                                 np.zeros(depth + 1), np.zeros(depth + 1))
+        return ConsistencyReport(0, np.zeros(depth + 1), np.zeros(depth + 1))
     member = rd.seq.member_measure(n)
-    child = recurrence_coefficients(member, depth + 1, method="stieltjes")
+    child = recurrence_coefficients(member, depth + 1)
     a_dev = np.abs(child.alpha - parent.alpha[n:n + depth + 1])
     b_dev = np.abs(child.beta - parent.beta[n:n + depth + 1])
-    return ConsistencyReport(n, depth, a_dev, b_dev)
+    return ConsistencyReport(n, a_dev, b_dev)

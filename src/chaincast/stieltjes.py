@@ -18,7 +18,7 @@ of the gemv that sums each row.  The integrated-by-parts C^1 form
 
 Every real-axis integral of a kernel of z - t (the Cauchy transform S(z)
 at real or complex z, the Perron inversion, the integrated-by-parts
-reducer, S and S' in a gap) splits the support at Re z and forms z - t
+reducer, S in a gap) splits the support at Re z and forms z - t
 from tanh-sinh node distances, so it stays accurate however close z is to
 the support.
 """
@@ -384,14 +384,14 @@ def perron_invert(m: Measure, x: float, eps: float):
 def find_gap_zero(m: Measure, gap_index: int = 0):
     """Zero of S inside an interior gap (b, c); None for gapless measures.
 
-    S' = -int d-mu(t) / (x - t)^2 < 0 on the gap, so the zero is unique if
-    it exists.  Where the weight vanishes at an edge, S stays finite there
-    and may keep one sign over the whole gap.  A safeguarded Newton
-    iteration on S and S' runs on the open gap.  It raises BracketFailure
-    only when S has one sign at the doubles next to both edges, so that any
-    zero lies within one ulp of an edge; such a zero is still returned, as
-    the double next to the edge, when the Newton step from that double is
-    shorter than half an ulp.
+    S decreases strictly on the gap, so its sign alone brackets the zero: S
+    at the midpoint picks a half, and S at the double next to that half's
+    edge closes the bracket, or raises BracketFailure when it has the same
+    sign, as a weight vanishing at the edge allows; any zero then lies within
+    one ulp of the edge.  False position with the Anderson-Bjorck
+    modification (Dowell & Jarratt, BIT 11 (1971) 168) shrinks the bracket
+    until no double lies inside it or it is within 1e-15 relative, and the
+    end with the smaller |S| is returned.
     """
     if m.gapless:
         return None
@@ -399,40 +399,35 @@ def find_gap_zero(m: Measure, gap_index: int = 0):
     if not 0 <= gap_index < len(gaps):
         raise IndexError(f"gap index {gap_index} outside 0..{len(gaps) - 1}")
     b, c = gaps[gap_index]
-    xtol = 1e-14 * max(1.0, abs(c))
-    # The sign of S at each iterate shrinks the bracket (lo, hi), whose ends
-    # stay at the gap edges until S is seen positive (lo) or negative (hi).
-    # A Newton step that leaves the bracket or exceeds half the previous step
-    # becomes a bisection, or, across an edge not yet left, a probe of the
-    # double next to that edge.
-    lo, hi, x, last = b, c, 0.5 * (b + c), c - b
-    for _ in range(100):
-        s, ds = _real_axis_integral(
-            m, x, lambda d, mu: np.array([mu / d, -mu / d / d]), "find_gap_zero",
-            1e-13)
-        lo, hi = (x, hi) if s > 0.0 else (lo, x)
-        step = s / ds
-        # Next to an edge where the weight vanishes like a power below 1,
-        # S' -> -inf and so S/S' -> 0 while S != 0, but there the step
-        # reaches past the edge; a tiny step well inside the gap has converged.
-        if abs(step) <= xtol and 2.0 * abs(step) < min(x - b, c - x):
-            return float(x - step)
-        nxt = x - step
-        if not (lo < nxt < hi and abs(step) <= 0.5 * last):
-            nxt = (math.nextafter(c, b) if nxt >= hi == c else
-                   math.nextafter(b, c) if nxt <= lo == b else 0.5 * (lo + hi))
-        if not lo < nxt < hi:  # no double left inside the bracket
-            if b < lo and hi < c:
-                return float(x)
-            raise BracketFailure(
-                f"S has one sign on gap ({b}, {c}): it is "
-                f"{'positive' if s > 0 else 'negative'} at {x!r}, the double "
-                f"next to the {'right' if lo > b else 'left'} edge, so any "
-                "zero lies within one ulp of that edge")
-        last, x = abs(nxt - x), nxt
-    raise BracketFailure(
-        f"zero of S in gap ({b}, {c}) not located after 100 safeguarded "
-        f"Newton steps; bracket [{lo!r}, {hi!r}]")
+
+    def s(x):
+        return _real_axis_integral(m, x, lambda d, mu: mu / d, "find_gap_zero", 1e-13)
+
+    # (x1, f1) is the latest point and (x0, f0) the other end of the bracket;
+    # g0 is f0 as scaled down for the secant while x0 is kept.
+    x0 = 0.5 * (b + c)
+    f0 = g0 = s(x0)
+    if f0 == 0.0:
+        return x0
+    x1 = math.nextafter(c, b) if f0 > 0.0 else math.nextafter(b, c)
+    f1 = s(x1)
+    if (f1 > 0.0) == (f0 > 0.0):
+        sign, side = ("positive", "right") if f1 > 0.0 else ("negative", "left")
+        raise BracketFailure(
+            f"S has one sign on gap ({b}, {c}): it is {sign} at {x1!r}, the double "
+            f"next to the {side} edge, so any zero lies within one ulp of that edge")
+    lo, hi = sorted((x0, x1))
+    while f1 != 0.0 and math.nextafter(lo, hi) < hi and hi - lo > 1e-15 * abs(hi):
+        x = x1 - f1 * (x1 - x0) / (f1 - g0)
+        x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        f = s(x)
+        if (f > 0.0) == (f1 > 0.0):
+            g0 *= 1.0 - f / f1 if abs(f) < abs(f1) else 0.5
+        else:
+            x0, f0, g0 = x1, f1, f1
+        x1, f1 = x, f
+        lo, hi = sorted((x0, x1))
+    return float(x1 if abs(f1) <= abs(f0) else x0)
 
 
 def pade_defect(m: Measure, rc: RecurrenceCoefficients, n: int, z: float) -> float:

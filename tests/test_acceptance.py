@@ -37,8 +37,8 @@ def test_criterion_01_power_law_chain_coefficients():
     for s in (0.5, 1.0, 2.0):
         j = cc.power_law_sd(s, alpha_c, 1.0)
         for method in ("auto", "stieltjes"):
-            coeffs = cc.chain_coefficients(j, 0.0, 31, method=method)
-            rc = coeffs.rc
+            rc = cc.recurrence_coefficients(cc.measure_from_sd(j, 0.0), 32,
+                                            method=method)
             assert rc.beta[0] == pytest.approx(2 * alpha_c / (s + 1),
                                                rel=1e-10), (s, method)
             for n in range(31):
@@ -55,8 +55,8 @@ def test_criterion_02_exp_cutoff_chain_coefficients_generic_route():
     """Exponential-cutoff coefficients via the generic route only."""
     alpha_c = 0.1
     j = cc.power_law_exp_sd(1.0, alpha_c, 1.0)
-    coeffs = cc.chain_coefficients(j, 0.0, 31, method="stieltjes")
-    rc = coeffs.rc
+    rc = cc.recurrence_coefficients(cc.measure_from_sd(j, 0.0), 32,
+                                    method="stieltjes")
     assert rc.beta[0] == pytest.approx(2 * alpha_c * math.gamma(2.0), rel=1e-10)
     for n in range(31):
         assert rc.alpha[n] == pytest.approx(2.0 * n + 2.0, rel=1e-10), n
@@ -69,7 +69,8 @@ def test_criterion_02_exp_cutoff_chain_coefficients_generic_route():
 def test_criterion_03_phonon_bridge():
     """alpha_n(1)(s) = alpha_n(0)(s/2) and beta_{n+1}(1)(s) = beta_{n+1}(0)(s/2)."""
     j = cc.power_law_sd(1.0, 0.1, 1.0)
-    rc1 = cc.chain_coefficients(j, 1.0, 22, method="stieltjes").rc
+    rc1 = cc.recurrence_coefficients(cc.measure_from_sd(j, 1.0), 23,
+                                     method="stieltjes")
     for n in range(21):
         assert rc1.alpha[n] == pytest.approx(closed_form_alpha(n, 0.5),
                                              abs=1e-10), n

@@ -188,10 +188,11 @@ class TestChainCoefficients:
     def test_phonon_particle_bridge(self, ohmic_sd):
         # alpha_n(1)(s) = alpha_n(0)(s/2), beta_{n+1}(1)(s) = beta_{n+1}(0)(s/2)
         # in omega_c = 1 units; phonon side forced through the generic route.
-        c1 = cc.chain_coefficients(ohmic_sd, 1.0, 21, method="stieltjes")
+        rc1 = cc.recurrence_coefficients(cc.measure_from_sd(ohmic_sd, 1.0), 22,
+                                         method="stieltjes")
         ref_alpha, ref_beta = PowerLawWeight(1.0, 0.5, 1.0).recurrence(22)
-        np.testing.assert_allclose(c1.rc.alpha, ref_alpha[:22], atol=1e-10)
-        np.testing.assert_allclose(c1.rc.beta[1:], ref_beta[1:22], rtol=1e-10)
+        np.testing.assert_allclose(rc1.alpha, ref_alpha[:22], atol=1e-10)
+        np.testing.assert_allclose(rc1.beta[1:], ref_beta[1:22], rtol=1e-10)
 
     def test_interpolating_q_identities(self, ohmic_sd):
         c = cc.chain_coefficients(ohmic_sd, 0.5, 6)

@@ -919,6 +919,35 @@ class TestGapZero:
         assert "gap (1.0, 2.0)" in msg and "within one ulp" in msg
         assert "should not happen" not in msg
 
+    @pytest.mark.parametrize("height", [1.0, 3.0, 100.0])
+    def test_weight_vanishing_at_the_gap_edges(self, height, caplog):
+        # Semicircle pieces on (0, 1) and (2, 3) keep S finite at the gap
+        # edges: equal pieces put the zero at the midpoint, a 3x right piece
+        # moves it left, and a 100x one leaves S < 0 on the whole gap.
+        from scipy.optimize import brentq
+
+        def weight(w):
+            w = np.asarray(w, float)
+            left = np.sqrt(np.clip(w * (1.0 - w), 0.0, None))
+            right = height * np.sqrt(np.clip((w - 2.0) * (3.0 - w), 0.0, None))
+            return np.where(w < 1.5, left, right)
+
+        m = cc.measure_from_sd(cc.custom_sd(weight, ((0.0, 1.0), (2.0, 3.0))), 0.0)
+        with caplog.at_level(logging.WARNING, logger="chaincast"):
+            try:
+                got = cc.find_gap_zero(m)
+            except BracketFailure:
+                got = None
+        assert len(caplog.records) <= 1
+        if height == 100.0:
+            assert got is None
+        elif height == 1.0:
+            assert got == 1.5
+        else:
+            want = brentq(lambda x: cc.stieltjes_transform(m, x).real,
+                          1.001, 1.999, xtol=1e-15, rtol=8.9e-16)
+            assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
     def test_flat_gapped_scan(self, caplog):
         # Flat pieces drawn from seed 3; pairs 155, 255 and 398 have their
         # zero between one ulp and 1e-14 * c from an edge.
