@@ -21,7 +21,6 @@ from .errors import (
     GappedMeasure,
     IllConditioned,
     IndexOutOfRange,
-    InsufficientMoments,
     InversionFailure,
     NonMonotoneDispersion,
     NotInSzegoClass,
@@ -38,15 +37,12 @@ from .measures import (
     SpectralDensity,
     TailBound,
     custom_sd,
-    moments,
-    normalize,
     piecewise_uniform_sd,
     power_law_exp_measure,
     power_law_exp_sd,
     power_law_measure,
     power_law_sd,
     sd_from_dispersion,
-    semicircle_measure,
     tabulated_sd,
 )
 from .orthopoly import (
@@ -62,8 +58,6 @@ from .stieltjes import (
 )
 from .secondary import (
     SecondarySequence,
-    secondary_density,
-    secondary_moments,
 )
 from .chainmap import (
     ChainCoefficients,
@@ -74,10 +68,7 @@ from .chainmap import (
     measure_from_sd,
 )
 from .residual import (
-    ConsistencyReport,
     ResidualDensity,
-    residual_consistency,
-    residual_sd,
 )
 from .convergence import (
     ConvergenceReport,

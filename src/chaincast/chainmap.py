@@ -210,11 +210,13 @@ def bassano_coefficients(J: SpectralDensity, n: int) -> tuple[np.ndarray, np.nda
     is cross-validated against the direct integral (2/pi) int J(w) w dw,
     which raises DivergentMoment when it does not converge.
     """
+    if n < 1:
+        raise DomainError("need at least one chain site")
     if not J.gapless:
         raise GappedMeasure(
             "the iterated-propagator construction requires gapless J "
             "(its Stieltjes relation breaks inside a gap)")
-    rc = recurrence_coefficients(measure_from_sd(J, 1.0), max(n, 1))
+    rc = recurrence_coefficients(measure_from_sd(J, 1.0), n)
     d_sq = rc.beta[:n].copy()
     omega_sq = rc.alpha[:n].copy()
 

@@ -45,10 +45,6 @@ class BracketFailure(ChaincastError):
     """A zero of a monotone function was not located in its interval."""
 
 
-class InsufficientMoments(ChaincastError):
-    """Moment sequence too short for the requested order."""
-
-
 class NotInSzegoClass(ChaincastError):
     """Asymptotic limits requested for a non-Szego spectral density."""
 

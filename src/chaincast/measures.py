@@ -1,4 +1,4 @@
-"""Spectral densities, measures and moments.
+"""Spectral densities and measures.
 
 The physical input is a bath spectral density J(w) >= 0 on a union of
 closed frequency intervals.  The mathematical workhorse is a positive
@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     InversionFailure,
     NonMonotoneDispersion,
-    ZeroMass,
 )
 
 __all__ = [
@@ -43,9 +42,6 @@ __all__ = [
     "piecewise_uniform_sd",
     "custom_sd",
     "sd_from_dispersion",
-    "moments",
-    "normalize",
-    "semicircle_measure",
     "power_law_measure",
     "power_law_exp_measure",
 ]
@@ -408,25 +404,6 @@ class Measure(_Supported):
             ws.append(w * self.weight(x))
         return np.concatenate(xs), np.concatenate(ws)
 
-    def total_mass(self) -> float:
-        return self.integrate(lambda x: np.ones_like(x))
-
-
-# ---------------------------------------------------------------------------
-# Moments
-# ---------------------------------------------------------------------------
-
-def moments(m: Measure, n: int) -> np.ndarray:
-    """Moments C_k = int x**k d-mu(x), k = 0..n, to ~1e-12 relative.
-
-    Raises DivergentMoment when the support is unbounded and no tail bound
-    certifies truncation.
-    """
-    if n < 0:
-        raise DomainError("moment order must be nonnegative")
-    return np.array([m.integrate(lambda x, k=k: x**k if k else np.ones_like(x),
-                                 poly_degree=k) for k in range(n + 1)])
-
 
 def scale_mass(m: Measure, factor: float) -> Measure:
     """Multiply the weight by a positive constant."""
@@ -440,20 +417,6 @@ def scale_mass(m: Measure, factor: float) -> Measure:
         family=(replace(m.family, c=m.family.c * factor)
                 if m.family is not None else None),
     )
-
-
-def normalize(m: Measure) -> Measure:
-    """Divide the weight by C_0 so the measure has unit mass."""
-    c0 = m.total_mass()
-    if not c0 > 1e-300:
-        raise ZeroMass(f"zeroth moment {c0} too small to normalize")
-    return scale_mass(m, 1.0 / c0)
-
-
-def semicircle_measure(a: float = -1.0, b: float = 1.0, mass: float = 1.0) -> Measure:
-    """Semicircle weight on [a, b] with the given total mass."""
-    c = mass * 8.0 / (math.pi * (b - a) ** 2)
-    return Measure.from_family(SemicircleWeight(c, a, b))
 
 
 def power_law_measure(c: float, s: float, cut: float = 1.0) -> Measure:
@@ -573,10 +536,14 @@ def power_law_exp_sd(s: float, alpha: float, omega_c: float = 1.0) -> SpectralDe
 
 
 def _check_normal(what: str, values) -> None:
-    """Raise DomainError on the first value that is nonzero but below the
-    smallest normal float: a subnormal J has a chain measure whose mass
-    and coefficients do not fit in a double.  Zero stays legal."""
+    """Raise DomainError on the first value that is not finite, or nonzero
+    but below the smallest normal float: a subnormal J has a chain measure
+    whose mass and coefficients do not fit in a double, and a nan or inf
+    one gives a chain of nan or inf.  Zero stays legal."""
     values = np.asarray(values, float)
+    bad = values[~np.isfinite(values)]
+    if len(bad):
+        raise DomainError(f"{what} {float(bad[0])!r} is not finite")
     tiny = values[(values > 0.0) & (values < sys.float_info.min)]
     if len(tiny):
         raise DomainError(f"{what} {float(tiny[0])!r} is nonzero but below the "

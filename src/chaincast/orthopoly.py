@@ -58,13 +58,6 @@ class RecurrenceCoefficients:
     def n(self) -> int:
         return len(self.alpha)
 
-    def shifted(self, offset: int) -> "RecurrenceCoefficients":
-        """View starting at order `offset`; its beta_0 slot holds the parent's
-        beta_offset (the mass of the offset-th beta-normalized member)."""
-        if not 0 <= offset < self.n:
-            raise IndexOutOfRange(f"offset {offset} outside 0..{self.n - 1}")
-        return RecurrenceCoefficients(self.alpha[offset:], self.beta[offset:])
-
 
 # One step's rounding error in r was at most 0.56 eps^2 ||x v_k||^2, measured
 # against long double on random discrete measures and on tanh-sinh

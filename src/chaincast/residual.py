@@ -9,7 +9,8 @@ leaves the enlarged system coupled to a bath with spectral density
 with P, Q, phi of d-lambda^q.  Equivalently J_n = pi * nu_n(G_q(w)) where
 nu_n is the secondary sequence of d-lambda^q (mass beta_n), so the
 measure built from J_n has the n-th associated Jacobi matrix of the base
-chain; `residual_consistency` checks exactly that.
+chain.  The tests check exactly that, with the oracle
+`residual_consistency` in tests/oracles.py.
 
 No closed residual-density formula is known for 0 < q < 1; those requests
 raise UnsupportedMapping.
@@ -25,15 +26,11 @@ import numpy as np
 from .chainmap import measure_from_sd
 from .errors import GappedMeasure, UnsupportedMapping
 from .measures import SpectralDensity
-from .orthopoly import recurrence_coefficients
 from .secondary import SecondarySequence
 from .stieltjes import evaluation_band
 
 __all__ = [
     "ResidualDensity",
-    "ConsistencyReport",
-    "residual_sd",
-    "residual_consistency",
 ]
 
 
@@ -104,49 +101,3 @@ def _tail_cut(J: SpectralDensity) -> float:
     peak = float(vals.max())
     above = np.nonzero(vals > 1e-12 * peak)[0]
     return float(grid[above[-1]]) if len(above) else hi
-
-
-def residual_sd(J: SpectralDensity, q: int, n: int, omega):
-    """J_n(omega) for one embedding depth; builds the evaluator per call.
-
-    Prefer ResidualDensity.build when sampling many orders or points.
-    """
-    if n == 0:
-        return J(omega)
-    rd = ResidualDensity.build(J, q, n)
-    return rd(n, omega)
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Shifted-coefficient check of a residual density.
-
-    alpha_deviation[k] = |alpha_k(measure of J_n) - alpha_{n+k}(d-lambda^q)|
-    beta_deviation[0]  = |mass(J_n measure)/pi-normalization - beta_n|, then
-    beta_deviation[k]  = |beta_k - beta_{n+k}| for k >= 1.
-    """
-
-    n: int
-    alpha_deviation: np.ndarray
-    beta_deviation: np.ndarray
-
-    @property
-    def max_deviation(self) -> float:
-        return float(max(self.alpha_deviation.max(), self.beta_deviation.max()))
-
-
-def residual_consistency(J: SpectralDensity, q: int, n: int, depth: int,
-                         ) -> ConsistencyReport:
-    """Recompute recurrence coefficients from the evaluated J_n and compare
-    with orders n..n+depth of the base chain measure."""
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    rd = ResidualDensity.build(J, q, max(n, 1))
-    parent = recurrence_coefficients(rd.seq.base, n + depth + 1)
-    if n == 0:
-        return ConsistencyReport(0, np.zeros(depth + 1), np.zeros(depth + 1))
-    member = rd.seq.member_measure(n)
-    child = recurrence_coefficients(member, depth + 1)
-    a_dev = np.abs(child.alpha - parent.alpha[n:n + depth + 1])
-    b_dev = np.abs(child.beta - parent.beta[n:n + depth + 1])
-    return ConsistencyReport(n, a_dev, b_dev)

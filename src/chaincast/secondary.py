@@ -28,10 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DomainError,
     GappedMeasure,
     IndexOutOfRange,
-    InsufficientMoments,
     UnsupportedMeasure,
     ZeroMass,
 )
@@ -46,8 +44,6 @@ from .stieltjes import evaluation_band, reducer
 
 __all__ = [
     "SecondarySequence",
-    "secondary_density",
-    "secondary_moments",
 ]
 
 
@@ -149,33 +145,3 @@ class SecondarySequence:
             weight=lambda x: self.density(n, x),
             support=(evaluation_band(self.base),),
         )
-
-
-def secondary_density(m: Measure, x):
-    """Weight of the first secondary measure of a gapless measure,
-    rho(x) = beta_0 mu(x) / (phi^2/4 + pi^2 mu^2) with beta_0 the mass of
-    mu; rho does not depend on beta_0 and carries mass beta_1(d mu)."""
-    return SecondarySequence.build(m, 1).density(1, x)
-
-
-def secondary_moments(c: np.ndarray, n: int) -> np.ndarray:
-    """Moments of the (unnormalized) secondary measure from moments of a
-    normalized measure:
-
-        C_k(d rho) = C_{k+2} - C_1 C_{k+1} - sum_{s<k} C_s(d rho) C_{k-s}
-
-    Requires C_0 = 1 and entries up to order n + 2.  Serves as the oracle
-    against direct quadrature of the secondary density.
-    """
-    vals = np.asarray(c, float)
-    if len(vals) < n + 3:
-        raise InsufficientMoments(f"need moments to order {n + 2}, have {len(vals) - 1}")
-    if abs(vals[0] - 1.0) > 1e-8:
-        raise DomainError("secondary moment recurrence requires C_0 = 1")
-    rho = np.zeros(n + 1)
-    for k in range(n + 1):
-        acc = vals[k + 2] - vals[1] * vals[k + 1]
-        for s in range(k):
-            acc -= rho[s] * vals[k - s]
-        rho[k] = acc
-    return rho

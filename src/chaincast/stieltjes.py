@@ -14,7 +14,10 @@ the blocks allocate nothing.  The blocks are filled off numpy's buffered
 broadcast, and the narrow ones (tanh-sinh levels 3 and 4) column by
 column, so a kernel cell costs little more than its division and its share
 of the gemv that sums each row.  The integrated-by-parts C^1 form
-(``_reducer_derivative_form``) is kept as a cross-check of that route.
+(``_reducer_derivative_form``) has no caller in the package; the benchmark's
+tracing names it as a route probe (``ROUTE_PROBES`` in
+benchmarks/tracing.py), and it goes when that probe does (ROADMAP
+Direction 1).
 
 Every real-axis integral of a kernel of z - t (the Cauchy transform S(z)
 at real or complex z, the Perron inversion, the integrated-by-parts

@@ -3,11 +3,13 @@ import pytest
 
 import chaincast as cc
 
+from oracles import semicircle_measure
+
 
 @pytest.fixture(scope="session")
 def semicircle():
     """Normalized semicircle weight 2 sqrt(1-x^2)/pi on [-1, 1]."""
-    return cc.semicircle_measure()
+    return semicircle_measure()
 
 
 @pytest.fixture(scope="session")

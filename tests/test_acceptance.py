@@ -13,6 +13,8 @@ import pytest
 import chaincast as cc
 from chaincast import cli
 
+from oracles import normalize, semicircle_measure
+
 
 def announce(num, text):
     print(f"ACCEPTANCE {num:02d} PASS: {text}")
@@ -82,19 +84,19 @@ def test_criterion_03_phonon_bridge():
 def test_criterion_04_residual_density_golden_values():
     """Particle/phonon residual values and member masses."""
     j = cc.power_law_sd(1.0, 0.1, 1.0)
-    got = cc.residual_sd(j, 0, 1, 0.5) / math.pi
+    got = cc.ResidualDensity.build(j, 0, 1)(1, 0.5) / math.pi
     assert got == pytest.approx(1.0 / (math.pi**2 + 4), abs=1e-12)
 
     rd = cc.ResidualDensity.build(j, 0, 2)
-    assert rd.seq.member_measure(1).total_mass() == pytest.approx(1 / 18,
-                                                                  abs=1e-6)
-    assert rd.seq.member_measure(2).total_mass() == pytest.approx(3 / 50,
-                                                                  abs=1e-6)
+    assert rd.seq.member_measure(1).integrate(np.ones_like) == pytest.approx(
+        1 / 18, abs=1e-6)
+    assert rd.seq.member_measure(2).integrate(np.ones_like) == pytest.approx(
+        3 / 50, abs=1e-6)
 
     x = 0.25
     r = math.sqrt(x)
     printed = 2 * r / (3 * (math.pi**2 * x + (2 - 2 * r * math.atanh(r)) ** 2))
-    got = cc.residual_sd(j, 1, 1, 0.5) / math.pi
+    got = cc.ResidualDensity.build(j, 1, 1)(1, 0.5) / math.pi
     assert got == pytest.approx(printed, abs=1e-8)
     announce(4, "residual goldens: J1(1/2)/pi = 1/(pi^2+4); masses 1/18, "
                 "3/50 @1e-6; phonon profile @1e-8")
@@ -103,7 +105,7 @@ def test_criterion_04_residual_density_golden_values():
 def test_criterion_05_jacobi_shift_oracle():
     """Recurrence coefficients of evaluated mu_m equal shifted base orders."""
     j = cc.power_law_sd(1.0, 0.1, 1.0)
-    base = cc.normalize(cc.measure_from_sd(j, 0.0))
+    base = normalize(cc.measure_from_sd(j, 0.0))
     seq = cc.SecondarySequence.build(base, 3)
     parent = cc.recurrence_coefficients(seq.base, 8)
     for m in (1, 2, 3):
@@ -119,7 +121,7 @@ def test_criterion_05_jacobi_shift_oracle():
 
 def test_criterion_06_semicircle_fixed_point_and_reducer():
     """One secondary+normalize step fixes the semicircle; reducer is 4x."""
-    sc = cc.semicircle_measure()
+    sc = semicircle_measure()
     plain = cc.Measure(sc.weight, sc.support)
     # no family attached: the reducer takes the Lipschitz route
     assert plain.family is None
@@ -128,11 +130,12 @@ def test_criterion_06_semicircle_fixed_point_and_reducer():
     phi = cc.reducer(plain, xs)
     assert float(np.max(np.abs(phi - 4 * xs))) < 1e-9
 
-    rho = cc.secondary_density(plain, xs)
+    seq = cc.SecondarySequence.build(plain, 1)
+    rho = seq.density(1, xs)
     lo, hi = plain.hull
     guard = 1e-12 * (hi - lo)
     mass, _ = cc.quadrature.integrate(
-        lambda t: cc.secondary_density(plain, t),
+        lambda t: seq.density(1, t),
         lo + guard, hi - guard, rel_tol=1e-12)
     sup_dev = float(np.max(np.abs(rho / mass - plain.weight(xs))))
     assert sup_dev < 1e-9
@@ -209,7 +212,7 @@ def test_criterion_10_szego_verdicts():
 def test_criterion_11_pade_asymptotic():
     """z^{2n+3} (S - Q_{n+1}/P_{n+1}) -> beta_1...beta_{n+1} at z = 1e3 b."""
     suite = {
-        "semicircle": cc.semicircle_measure(),
+        "semicircle": semicircle_measure(),
         "uniform": cc.Measure(
             lambda x: np.full_like(np.asarray(x, float), 0.5), ((-1.0, 1.0),)),
     }

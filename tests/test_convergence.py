@@ -8,6 +8,8 @@ import chaincast as cc
 from chaincast import convergence
 from chaincast.errors import NotInSzegoClass
 
+from oracles import moments, normalize, semicircle_measure
+
 
 class TestSzegoCheck:
     def test_finite_power_law_in_class(self, ohmic_sd):
@@ -142,9 +144,9 @@ class TestTerminalDensities:
 
     def test_terminal_fixed_under_secondary_normalize(self, ohmic_sd):
         # One secondary+normalize step leaves the terminal measure unchanged.
-        m = cc.normalize(cc.measure_from_sd(cc.terminal_sd(ohmic_sd, 0), 0.0))
+        m = normalize(cc.measure_from_sd(cc.terminal_sd(ohmic_sd, 0), 0.0))
         xs = np.linspace(0.05, 0.95, 21)
-        rho = cc.secondary_density(m, xs)
+        rho = cc.SecondarySequence.build(m, 1).density(1, xs)
         mass = (m.hull[1] - m.hull[0]) ** 2 / 16.0  # beta_1 of a semicircle
         np.testing.assert_allclose(rho / mass, m.weight(xs), atol=1e-8)
 
@@ -177,9 +179,9 @@ class TestConvergenceReport:
         # semicircle on [0, 1].
         seq = cc.SecondarySequence.build(weight_2x, 4)
         member = seq.member_measure(4)
-        limit = cc.semicircle_measure(0.0, 1.0, 1.0)
-        got = cc.moments(member, 4) / seq.rc.beta[4]
-        want = cc.moments(limit, 4)
+        limit = semicircle_measure(0.0, 1.0, 1.0)
+        got = moments(member, 4) / seq.rc.beta[4]
+        want = moments(limit, 4)
         assert np.all(np.abs(got - want) < 1e-2)
 
     def test_semicircle_terminal_input_flat(self, ohmic_sd):

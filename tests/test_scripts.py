@@ -42,3 +42,13 @@ def test_residual_profiles(tmp_path):
     rows = read_rows(out)
     assert rows[0] == ["omega", "J0", "J1", "J2"]
     assert len(rows) == 1 + 21
+
+
+def test_code_lines():
+    proc = run_script("code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert rows[-1][0] == "total"
+    modules = {name: int(count) for name, count in rows[:-1]}
+    assert "__init__.py" in modules and "cli.py" in modules
+    assert int(rows[-1][1]) == sum(modules.values())
