@@ -24,10 +24,11 @@ orthopoly.MAX_ORDER - 1 = 199.  A family's parameter rules are its
 constructor's; this module only parses.
 
 Exit codes: 0 success, 2 config error (residual orders at 0 < q < 1
-included), 3 numerical failure (arithmetic overflow included, and a
-residual CSV or report that would hold a non-finite number, which is then
-not written), 4 unsupported request (residual densities of a gapped
-measure, or a reducer that is unavailable for the measure).  The report's
+included), 3 numerical failure (arithmetic overflow included, numpy's too,
+as are its 0/0 and division by zero, and a residual CSV or report that
+would hold a non-finite number, which is then not written), 4 unsupported
+request (residual densities of a gapped measure, or a reducer that is
+unavailable for the measure).  The report's
 moment_gaps hold orders 1..max(residual_orders), at most 6.
 Outputs are deterministic: identical configs give byte-identical files.
 """
@@ -387,7 +388,10 @@ def main(argv: list[str] | None = None) -> int:
               f"residual_orders={list(config.residual_orders)}")
         return EXIT_OK
     try:
-        run(config)
+        # numpy's overflow, 0/0 and division by zero raise FloatingPointError,
+        # an ArithmeticError, instead of warning and carrying inf or nan on
+        with np.errstate(all="raise", under="ignore"):
+            run(config)
     except (UnsupportedMapping, UnsupportedMeasure, GappedMeasure) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

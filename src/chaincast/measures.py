@@ -63,7 +63,18 @@ class TailBound:
     stretch: float = 1.0
 
     def cutoff(self, poly_degree: int = 0) -> float:
-        return quadrature.tail_cutoff(self.rate, self.power + poly_degree, self.stretch)
+        """Truncation point for moments of degree poly_degree: the bound's
+        ``quadrature.tail_cutoff``, floored at (3 poly_degree / rate) **
+        (1 / stretch), past the 4N / rate to which the largest zero of a
+        degree-N Laguerre polynomial grows (poly_degree = 2N, stretch 1).
+        A floor that overflows raises DivergentMoment."""
+        cut = quadrature.tail_cutoff(self.rate, self.power + poly_degree, self.stretch)
+        with np.errstate(over="ignore"):
+            floor = float(np.float64(3.0 * poly_degree / self.rate) ** (1.0 / self.stretch))
+        if math.isinf(floor):
+            raise DivergentMoment(f"tail cutoff floor (3 * {poly_degree} / {self.rate})"
+                                  f" ** (1 / {self.stretch}) overflows")
+        return max(cut, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +82,8 @@ class TailBound:
 # exponential cutoff (Laguerre), semicircle (second-kind Chebyshev) and flat
 # (shifted Legendre).  Each knows its own recurrence coefficients and, when a
 # closed form exists, its reducer; the bounded ones also know their Szego
-# integral.  The generic numerical paths consult only a family's derivative.
+# integral.  The power law also knows its derivative, which the Lipschitz
+# reducer reads where it has no closed-form reducer (non-half-integer s).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -152,13 +164,6 @@ class PowerLawExpWeight:
             out = self.c * np.where(x > 0, x, 1.0) ** self.s * np.exp(-x / self.scale)
         return np.where(x > 0, out, 0.0 if self.s != 0 else self.c)
 
-    def derivative(self, x):
-        x = np.asarray(x, float)
-        xs = np.where(x > 0, x, 1.0)
-        out = self.c * np.exp(-x / self.scale) * (
-            self.s * xs ** (self.s - 1.0) - xs**self.s / self.scale)
-        return np.where(x > 0, out, 0.0)
-
     def recurrence(self, n: int):
         s, sc = self.s, self.scale
         ns = np.arange(n, dtype=float)
@@ -199,11 +204,6 @@ class SemicircleWeight:
         x = np.asarray(x, float)
         return self.c * np.sqrt(np.maximum((x - self.a) * (self.b - x), 0.0))
 
-    def derivative(self, x):
-        x = np.asarray(x, float)
-        rad = np.maximum((x - self.a) * (self.b - x), 1e-300)
-        return self.c * (self.a + self.b - 2 * x) / (2 * np.sqrt(rad))
-
     def recurrence(self, n: int):
         alpha = np.full(n, 0.5 * (self.a + self.b))
         beta = np.full(n, (self.b - self.a) ** 2 / 16.0)
@@ -236,9 +236,6 @@ class UniformWeight:
     def weight(self, x):
         x = np.asarray(x, float)
         return np.where((x >= self.a) & (x <= self.b), self.c, 0.0)
-
-    def derivative(self, x):
-        return np.zeros(np.shape(x))
 
     def recurrence(self, n: int):
         k = np.arange(n, dtype=float)
@@ -310,8 +307,8 @@ class Measure(_Supported):
     tail : TailBound, optional
         Required for quadrature on unbounded support.
     family : analytic family descriptor, optional
-        Enables closed-form recurrence coefficients / reducers, and gives
-        the weight's derivative to the generic reducer routes.
+        Enables closed-form recurrence coefficients / reducers; a power law
+        also gives its derivative to the generic reducer routes.
 
     The weight at the positions of each tanh-sinh level on the hull
     (``_columns``), the Lipschitz reducer's columns, is evaluated once and
@@ -563,6 +560,8 @@ def tabulated_sd(omega: Sequence[float], values: Sequence[float]) -> SpectralDen
         raise DomainError("tabulated frequencies must be strictly increasing")
     if np.any(values < 0):
         raise DomainError("tabulated spectral density must be nonnegative")
+    if not np.isfinite(omega[-1]):  # increasing, so only the last can be +inf
+        raise DomainError(f"tabulated frequency {float(omega[-1])!r} is not finite")
     _check_normal("tabulated sample", values)
     return SpectralDensity(
         lambda w: np.interp(np.asarray(w, float), omega, values),
@@ -579,6 +578,9 @@ def piecewise_uniform_sd(pieces: Sequence[tuple[float, float, float]]) -> Spectr
     otherwise raises DomainError.
     """
     pieces = sorted((float(lo), float(hi), float(h)) for lo, hi, h in pieces)
+    for piece in pieces:
+        if not all(map(math.isfinite, piece[:2])):
+            raise DomainError(f"piecewise piece {piece} has an end that is not finite")
     if any(h < 0 for _, _, h in pieces):
         raise DomainError("piecewise heights must be nonnegative")
     _check_normal("piecewise height", [h for _, _, h in pieces])

@@ -62,8 +62,8 @@ GUARD_FRACTION = 1e-12
 # Half-width of the band around t = x inside which the Lipschitz difference
 # quotient is replaced by mu' at the midpoint, as a fraction of x's distance
 # to the nearer support endpoint: wide enough that mu(t) - mu(x) keeps about
-# ten digits outside it, narrow enough to hold at most a few nodes even
-# where the tanh-sinh nodes cluster at an endpoint.
+# ten digits outside it, narrow enough to hold at most one node even where
+# the tanh-sinh nodes cluster at an endpoint (``_pv_sums`` relies on it).
 PV_BAND_FRACTION = 1e-6
 
 # Minimum distance of a real Stieltjes argument from the support.
@@ -136,8 +136,13 @@ def _pv_sums(m: Measure, x, mu_x, delta, t, mu_t, w, work=None) -> np.ndarray:
     """sum_j w_j (mu(t_j) - mu(x_i)) / (t_j - x_i) for every x_i, with the
     quotient replaced by mu' at the midpoint (x_i + t_j)/2 where
     |t_j - x_i| < delta_i; formed in row blocks of at most PV_BLOCK_CELLS
-    cells.  t must be sorted: the few band cells are found by binary search
-    and written into each block, so no dense mask is formed.
+    cells.  t must be sorted, and at most one of its nodes may lie within
+    2 delta_i of x_i: the band cells are found by binary search and written
+    into each block, so no dense mask is formed.  The reducer's columns
+    keep that: tanh-sinh neighbours lie at least 7.7e-4 of their distance
+    from the nearer end apart at every level up to quadrature.MAX_LEVEL,
+    and the window x_i -+ 2 delta_i is 4e-6 of that distance wide (less
+    than an ulp where ``map_nodes`` merges nodes that round together).
 
     Each block's mu_t - mu_x and t - x are written into ``work``, a
     workspace of shape (2, n) with n at least the block's cell count
@@ -160,16 +165,10 @@ def _pv_sums(m: Measure, x, mu_x, delta, t, mu_t, w, work=None) -> np.ndarray:
     # cells a dense |t - x| < delta mask would select.
     d2 = 2.0 * delta
     first = t.searchsorted(x - d2, "left")
-    counts = t.searchsorted(x + d2, "right") - first
-    if counts.max(initial=0) <= 1:  # the usual case: one candidate at most
-        ci = counts.nonzero()[0]
-        cj = first[ci]
-    else:
-        ci = np.repeat(np.arange(len(x)), counts)
-        cj = np.arange(len(ci)) + np.repeat(first - np.cumsum(counts) + counts, counts)
-    if len(ci):
-        keep = np.abs(t[cj] - x[ci]) < delta[ci]
-        ci, cj = ci[keep], cj[keep]
+    ci = (t.searchsorted(x + d2, "right") - first).nonzero()[0]
+    cj = first[ci]
+    keep = np.abs(t[cj] - x[ci]) < delta[ci]
+    ci, cj = ci[keep], cj[keep]
     band = (_weight_derivative(m, 0.5 * (x[ci] + t[cj]), 0.5 * delta[ci])
             if len(ci) else None)
 
@@ -242,7 +241,7 @@ def _reducer_lipschitz(m: Measure, x: np.ndarray) -> np.ndarray:
 
     Within |t - x| < delta(x) = PV_BAND_FRACTION * min(x - a, b - x) the
     difference quotient is replaced by mu' at the midpoint (x + t)/2: the
-    family derivative when the measure has one, otherwise a centered
+    power law's derivative when the measure is one, otherwise a centered
     difference with step delta/2, which stays inside the support.  The
     quotient is regular there, but the cancellation in mu(t)-mu(x) is not
     worth fighting at machine precision.  The midpoint value differs from
@@ -384,8 +383,9 @@ def perron_invert(m: Measure, x: float, eps: float):
     return total.imag / math.pi
 
 
-def find_gap_zero(m: Measure, gap_index: int = 0):
-    """Zero of S inside an interior gap (b, c); None for gapless measures.
+def find_gap_zero(m: Measure):
+    """Zero of S inside the first interior gap (b, c); None for gapless
+    measures.
 
     S decreases strictly on the gap, so its sign alone brackets the zero: S
     at the midpoint picks a half, and S at the double next to that half's
@@ -398,10 +398,7 @@ def find_gap_zero(m: Measure, gap_index: int = 0):
     """
     if m.gapless:
         return None
-    gaps = [(hi, lo2) for (_, hi), (lo2, _) in zip(m.support, m.support[1:])]
-    if not 0 <= gap_index < len(gaps):
-        raise IndexError(f"gap index {gap_index} outside 0..{len(gaps) - 1}")
-    b, c = gaps[gap_index]
+    b, c = m.support[0][1], m.support[1][0]
 
     def s(x):
         return _real_axis_integral(m, x, lambda d, mu: mu / d, "find_gap_zero", 1e-13)

@@ -439,6 +439,28 @@ class TestRun:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["szego"] == "out_of_class(unbounded)"
 
+    def test_exp_cutoff_chain_past_the_tail_cutoff(self, tmp_path):
+        # At 0 < q < 1 the exponential cutoff takes the generic route; with
+        # the tail cutoff floored at the polynomial degree, 80 sites agree
+        # with the same J under a tail bound of half the rate (without the
+        # floor, off by 2.9e-3 and written with exit 0)
+        path = write_config(tmp_path / "job.json", {
+            "spectral_density": {"family": "power_law_exp_cutoff", "s": 1,
+                                 "alpha": 0.1, "omega_c": 1.0},
+            "mapping_q": 0.5, "sites": 80})
+        assert cli.main(["run", "--config", path]) == cli.EXIT_OK
+        with open(tmp_path / "chain.csv") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        sd = cc.power_law_exp_sd(1.0, 0.1, 1.0)
+        slower = cc.TailBound(sd.tail.rate / 2, sd.tail.power, sd.tail.stretch)
+        ref = cc.chain_coefficients(
+            cc.custom_sd(sd.evaluator, sd.support, tail=slower), 0.5, 80)
+        assert len(rows) == 80
+        for key in ("alpha", "beta"):
+            got = [float(row[key]) for row in rows]
+            assert got == pytest.approx(list(getattr(ref, key)), rel=1e-12), key
+
     def test_byte_identical_reruns(self, tmp_path):
         path = ohmic_config(tmp_path)
         assert cli.main(["run", "--config", path]) == cli.EXIT_OK

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import chaincast as cc
-from chaincast import stieltjes
+from chaincast import quadrature, stieltjes
 from chaincast.errors import (
     DivergentMoment,
     DomainError,
@@ -216,10 +216,46 @@ class TestStructure:
         with pytest.raises(DomainError, match=named):
             make()
 
+    @pytest.mark.parametrize("make, named", [
+        (lambda: cc.piecewise_uniform_sd([(0.0, math.inf, 1.0)]),
+         r"piecewise piece \(0.0, inf, 1.0\)"),
+        (lambda: cc.piecewise_uniform_sd([(0.0, 1.0, 1.0), (2.0, math.inf, 0.5)]),
+         r"piecewise piece \(2.0, inf, 0.5\)"),
+        (lambda: cc.tabulated_sd([0.0, 1.0, math.inf], [1.0, 1.0, 1.0]),
+         "tabulated frequency inf"),
+    ], ids=["flat", "second-piece", "tabulated"])
+    def test_infinite_ends_rejected(self, make, named):
+        # an infinite flat piece gave a chain of inf without raising, and an
+        # infinite tabulated frequency failed late, in the recurrence; only
+        # a J with a tail bound (the exponential cutoff) may be unbounded
+        with pytest.raises(DomainError, match=named):
+            make()
+
     def test_zero_and_smallest_normal_heights_accepted(self):
         tiny = sys.float_info.min
         cc.piecewise_uniform_sd([(0.0, 1.0, 0.0), (2.0, 3.0, tiny)])
         cc.tabulated_sd([0.0, 0.5, 1.0], [0.0, tiny, 1.0])
+
+
+class TestTailCutoff:
+    @pytest.mark.parametrize("stretch", [1.0, 0.5])
+    def test_floored_at_the_polynomial_degree(self, stretch):
+        # (3 poly_degree / rate) ** (1 / stretch): 6N / rate for the moments
+        # of degree 2N at stretch 1, past the largest Laguerre zero (~4N)
+        bound = cc.TailBound(rate=2.0, power=1.0, stretch=stretch)
+        assert bound.cutoff(400) == (3.0 * 400 / 2.0) ** (1.0 / stretch)
+        assert bound.cutoff(0) == quadrature.tail_cutoff(2.0, 1.0, stretch)
+
+    @pytest.mark.parametrize("rate, degree, stretch", [
+        (2.857e-306, 200, 1.0),  # 3 * degree / rate is inf
+        (8.7e-152, 400, 0.5),    # its square overflows
+    ])
+    def test_floor_that_overflows_raises(self, rate, degree, stretch):
+        # the bound's own cutoff is finite, about 1.4e308 and 1.7e308
+        bound = cc.TailBound(rate=rate, stretch=stretch)
+        assert math.isfinite(quadrature.tail_cutoff(rate, degree, stretch))
+        with pytest.raises(DivergentMoment, match="floor"):
+            bound.cutoff(degree)
 
 
 def _random_flats(count, seed):

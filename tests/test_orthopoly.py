@@ -134,6 +134,19 @@ class TestRecurrenceCoefficients:
         assert rc.beta[0] == pytest.approx(1.0, rel=1e-11)
         np.testing.assert_allclose(rc.beta[1:], ns[1:] * (ns[1:] + 1), rtol=1e-11)
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [60, 100, 150])
+    def test_generic_laguerre_beyond_the_bound_cutoff(self, n, s):
+        # Unfloored, the tail cutoff for degree 2N stopped growing from
+        # N = 60 on, inside the zeros of p_N, and the generic route was off
+        # by 1e-2 without raising.
+        m = cc.power_law_exp_measure(1.0, s)
+        rc = cc.recurrence_coefficients(m, n, method="stieltjes")
+        ns = np.arange(float(n))
+        np.testing.assert_allclose(rc.alpha, 2 * ns + 1 + s, rtol=1e-12)
+        assert rc.beta[0] == pytest.approx(math.gamma(s + 1), rel=1e-12)
+        np.testing.assert_allclose(rc.beta[1:], ns[1:] * (ns[1:] + s), rtol=1e-12)
+
     def test_semicircle_against_exact_gram_schmidt(self, semicircle_plain):
         # Oracle: exact rational Gram-Schmidt on moments (1, 0, 1/4, 0, 1/8, ...).
         a_ref, b_ref = exact_recurrence_from_moments(semicircle_exact_moments(20), 10)

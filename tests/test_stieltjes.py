@@ -572,9 +572,10 @@ def _pv_sums_dense(m, x, mu_x, delta, t, mu_t, w):
 
 
 class TestPvKernel:
-    """``_pv_sums`` finds its band cells by binary search and must give,
-    bit for bit, what dense masks give, on the node sets the reducer
-    passes it."""
+    """``_pv_sums`` looks for at most one band cell per row, by binary
+    search, and must give, bit for bit, what dense masks give whenever at
+    most one column lies within 2 delta of each row, as on the node sets
+    the reducer passes it."""
 
     MEASURES = {
         "semicircle_q0": lambda: cc.measure_from_sd(
@@ -632,8 +633,8 @@ class TestPvKernel:
         filled column by column, with a short tail), column counts on both
         sides of the width at which full blocks stop being filled column by
         column and of the width below which numpy buffers a broadcast
-        (a third of the default ufunc buffer), one row against the widest
-        level, and rows with several band candidates."""
+        (a third of the default ufunc buffer), and one row against the
+        widest level."""
         a, b = m.hull
         lo, hi = stieltjes.evaluation_band(m)
 
@@ -667,16 +668,6 @@ class TestPvKernel:
         for cols in (buffered, buffered + 1):
             t, w = spread(*level11, cols)
             cases[f"{cols}_columns"] = (rows(t, 400), t, w)
-        # columns added at 0.3 and 0.8 delta on both sides of some rows:
-        # four band cells and up to two more candidates per such row
-        x = rows(level3[0], 2000)
-        near = x[::37]
-        d = stieltjes.PV_BAND_FRACTION * np.minimum(near - a, b - near)
-        extra = np.concatenate([near + f * d for f in (-1.9, -0.8, -0.3, 0.3, 0.8, 1.5)])
-        t = np.concatenate([level3[0], extra])
-        order = np.argsort(t)
-        w = np.concatenate([level3[1], np.full(len(extra), 1e-3)])
-        cases["clustered_columns"] = (x, t[order], w[order])
         return cases
 
     @pytest.mark.parametrize("name", sorted(MEASURES))
@@ -694,6 +685,19 @@ class TestPvKernel:
             work = np.empty((2, stieltjes.PV_BLOCK_CELLS))
             assert np.array_equal(
                 stieltjes._pv_sums(m, x, mu_x, delta, t, mu_t, w, work), want), kind
+
+    @pytest.mark.parametrize("level", range(stieltjes.PV_MIN_LEVEL,
+                                            quadrature.MAX_LEVEL + 1))
+    def test_one_node_fits_the_candidate_window(self, level):
+        # Neighbouring nodes of every level the reducer reads lie further
+        # apart, relative to their distance from the nearer end, than the
+        # 4 delta wide window x -+ 2 delta in which ``_pv_sums`` looks for
+        # its one band cell: at level 11 by a factor of 190.
+        k, dl, dr, _ = quadrature._rule(level)
+        near = np.minimum(dl, dr)
+        gap = np.where(k[1:] <= 0, dl[1:] - dl[:-1], dr[:-1] - dr[1:])
+        spacing = np.min(gap / np.maximum(near[1:], near[:-1]))
+        assert spacing > 100 * 4 * stieltjes.PV_BAND_FRACTION
 
 
 class TestKernelMemory:
