@@ -104,16 +104,29 @@ def mapping_kernel(q: float) -> MappingKernel:
 
 
 def _ratio(q: float) -> Callable:
+    """The factor ((1+q^2) q + 4 (1-q^2) x) / ((1+q) q + 4 (1-q) x) of M^q,
+    for 0 < q < 1, in the cancellation-free form (1+q)(q^2 + u)/(2q^2 + u)
+    with u = 2 (1-q^2) (x - G_q(0)) >= 0: at the support's lower end
+    G_q(0) = -q (1-q) / (4 (1+q)) both sides of the quotient above are
+    O(q^2) but formed from O(q) terms.  Where q^2 underflows to 0, the
+    quotient at the end itself, 0/0, is read as its limit there, 1/2."""
+    q2 = q * q
+    end = q * (1.0 - q) / (4.0 * (1.0 + q))  # -G_q(0)
+
     def ratio(x):
-        return (((1.0 + q * q) * q + 4.0 * (1.0 - q * q) * x)
-                / ((1.0 + q) * q + 4.0 * (1.0 - q) * x))
+        u = 2.0 * (1.0 - q2) * np.maximum(np.asarray(x, float) + end, 0.0)
+        den = 2.0 * q2 + u
+        return (1.0 + q) * np.divide(q2 + u, den, out=np.full(den.shape, 0.5),
+                                     where=den > 0)
     return ratio
 
 
 def measure_from_sd(J: SpectralDensity, q: float) -> Measure:
     """The chain-mapping measure d-lambda^q = M^q(x) dx of a spectral density.
 
-    Gap structure maps through G_q.
+    Gap structure maps through G_q.  At 0 < q < 1 a J/pi with a log weight
+    (the exponential cutoff) gives M^q one too; at q = 1 it does not yet,
+    since the tail cutoff there stops short of where the polynomials live.
     """
     kernel = mapping_kernel(q)
     if q == 0.0:
@@ -142,13 +155,17 @@ def measure_from_sd(J: SpectralDensity, q: float) -> Measure:
         x = np.asarray(x, float)
         return np.asarray(ev(kernel.G_inv(x)), float) / math.pi * ratio(x)
 
+    m0_log_weight = getattr(J.m0_family, "log_weight", None)
+    log_weight = None if m0_log_weight is None else (
+        lambda x: m0_log_weight(kernel.G_inv(x)) + np.log(ratio(x)))
+
     tail = None
     if J.tail is not None:
         # G_inv(x) >= x sqrt(1-q^2), ratio -> (1+q): a conservative bound.
         t = J.tail
         shrink = (1.0 - q * q) ** (t.stretch / 2.0)
         tail = TailBound(t.rate * shrink, t.power, t.stretch)
-    return Measure(weight, support, tail=tail)
+    return Measure(weight, support, tail=tail, log_weight=log_weight)
 
 
 @dataclass(frozen=True)

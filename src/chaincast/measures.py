@@ -83,7 +83,9 @@ class TailBound:
 # (shifted Legendre).  Each knows its own recurrence coefficients and, when a
 # closed form exists, its reducer; the bounded ones also know their Szego
 # integral.  The power law also knows its derivative, which the Lipschitz
-# reducer reads where it has no closed-form reducer (non-half-integer s).
+# reducer reads where it has no closed-form reducer (non-half-integer s), and
+# the exponential cutoff its log weight, from which the generic route forms
+# sqrt(w) where w itself underflows.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -163,6 +165,13 @@ class PowerLawExpWeight:
         with np.errstate(invalid="ignore", divide="ignore"):
             out = self.c * np.where(x > 0, x, 1.0) ** self.s * np.exp(-x / self.scale)
         return np.where(x > 0, out, 0.0 if self.s != 0 else self.c)
+
+    def log_weight(self, x):
+        """ln weight: ln c + s ln x - x/scale, -inf at x <= 0 exactly where
+        the weight is 0."""
+        x = np.asarray(x, float)
+        out = math.log(self.c) + self.s * np.log(np.where(x > 0, x, 1.0)) - x / self.scale
+        return np.where(x > 0, out, -np.inf if self.s != 0 else math.log(self.c))
 
     def recurrence(self, n: int):
         s, sc = self.s, self.scale
@@ -309,6 +318,10 @@ class Measure(_Supported):
     family : analytic family descriptor, optional
         Enables closed-form recurrence coefficients / reducers; a power law
         also gives its derivative to the generic reducer routes.
+    log_weight : callable, optional
+        Vectorized ln weight, -inf where the weight is 0; the generic
+        recurrence route then forms sqrt(w) from it, which stays
+        representable where w underflows (``discretize``).
 
     The weight at the positions of each tanh-sinh level on the hull
     (``_columns``), the Lipschitz reducer's columns, is evaluated once and
@@ -320,6 +333,7 @@ class Measure(_Supported):
     support: Intervals
     tail: TailBound | None = None
     family: WeightFamily | None = None
+    log_weight: Callable | None = None
     # {(level, added): weight at map_nodes(level, *hull, added)}, read-only
     _column_weights: dict = field(default_factory=dict, init=False,
                                   repr=False, compare=False)
@@ -341,7 +355,8 @@ class Measure(_Supported):
         if isinstance(fam, PowerLawWeight):
             return cls(fam.weight, ((0.0, fam.cut),), family=fam)
         if isinstance(fam, PowerLawExpWeight):
-            return cls(fam.weight, ((0.0, math.inf),), tail=fam.tail(), family=fam)
+            return cls(fam.weight, ((0.0, math.inf),), tail=fam.tail(), family=fam,
+                       log_weight=fam.log_weight)
         if isinstance(fam, (SemicircleWeight, UniformWeight)):
             return cls(fam.weight, ((fam.a, fam.b),), family=fam)
         raise DomainError(f"unknown family {fam!r}")
@@ -389,30 +404,41 @@ class Measure(_Supported):
         return total
 
     def discretize(self, level: int, poly_degree: int = 0):
-        """Dense quadrature discretization (x, w) of the measure; basis of
-        the generic recurrence path.  On
-        each support interval the positions are distinct and increasing,
-        each with the summed weight of the tanh-sinh nodes that round onto
-        it (``quadrature.map_nodes``)."""
+        """Dense quadrature discretization (x, w, log_w) of the measure;
+        basis of the generic recurrence path.  On each support interval the
+        positions are distinct and increasing, each with the summed weight
+        of the tanh-sinh nodes that round onto it (``quadrature.map_nodes``).
+
+        With a log weight, log_w is ln w, the log of the node weight plus
+        the log weight, and w is its exp: w underflows to 0 where log_w,
+        and so sqrt(w), is still representable.  Without one, log_w is None.
+        """
         xs, ws = [], []
         for lo, hi in self._effective_intervals(poly_degree):
             x, w = quadrature.map_nodes(level, lo, hi)
             xs.append(x)
-            ws.append(w * self.weight(x))
-        return np.concatenate(xs), np.concatenate(ws)
+            if self.log_weight is None:
+                ws.append(w * self.weight(x))
+            else:
+                with np.errstate(divide="ignore"):  # a node weight may underflow
+                    ws.append(np.log(w) + self.log_weight(x))
+        x, w = np.concatenate(xs), np.concatenate(ws)
+        return (x, w, None) if self.log_weight is None else (x, np.exp(w), w)
 
 
 def scale_mass(m: Measure, factor: float) -> Measure:
     """Multiply the weight by a positive constant."""
     if not factor > 0:
         raise DomainError("mass factor must be positive")
-    old_w = m.weight
+    old_w, old_log_w = m.weight, m.log_weight
     return Measure(
         weight=lambda x: factor * old_w(x),
         support=m.support,
         tail=m.tail,
         family=(replace(m.family, c=m.family.c * factor)
                 if m.family is not None else None),
+        log_weight=(None if old_log_w is None
+                    else lambda x: old_log_w(x) + math.log(factor)),
     )
 
 

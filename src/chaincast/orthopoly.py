@@ -11,7 +11,10 @@ The discretized procedure runs as Lanczos on diag(x) with start vector
 sqrt(w), which is the Stieltjes procedure on the discrete measure
 (Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP 2004,
 sec. 2.2).  Its vectors sqrt(w) p_k are kept normalized, so the sweep does
-not depend on the scale of the weight.  It stops with IllConditioned at
+not depend on the scale of the weight.  Where a measure has a log weight
+(the exponential cutoff at q = 0 and 0 < q < 1, not yet q = 1) the start
+vector is formed from it, so sqrt(w) stays representable out to twice the
+point where w underflows.  It stops with IllConditioned at
 order k when p_k vanishes on the nodes: when at most k nodes carry
 weight, or when beta_k falls to the rounding floor of its recurrence step.
 """
@@ -66,16 +69,20 @@ class RecurrenceCoefficients:
 _BREAKDOWN = 256 * np.finfo(float).eps ** 2
 
 
-def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, n: int):
+def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, n: int,
+                     log_w: np.ndarray | None = None):
     """Discretized Stieltjes procedure on the discrete measure sum w_k d(x_k).
 
-    Run as Lanczos on diag(x) with start vector sqrt(w): the vectors
+    Run as Lanczos on diag(x) with start vector sqrt(w), normalized: with
+    log_w = ln w given, exp(0.5 (log_w - ln mass)), which stays
+    representable where w underflows, else sqrt(w / mass).  The vectors
     v_k = sqrt(w) p_k / ||sqrt(w) p_k|| are orthonormal, so no norm under-
     or overflows with the scale of w.  alpha_k = v_k . x v_k and
     beta_{k+1} = ||r||^2 for r = x v_k - alpha_k v_k - sqrt(beta_k) v_{k-1},
     with every buffer allocated once and updated in place.
 
-    p_k vanishes on the nodes when at most k of them carry weight.  On
+    p_k vanishes on the nodes when at most k of them carry weight (a
+    nonzero entry of the start vector).  On
     more nodes, ||x v_k||^2 = beta_k + alpha_k^2 + beta_{k+1} and roundoff
     leaves r about eps ||x v_k|| even where p_{k+1} vanishes, so order k+1
     counts as vanishing when beta_{k+1} <= _BREAKDOWN (alpha_k^2 + beta_k).
@@ -83,15 +90,15 @@ def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, n: int):
     floor once a measure on k points is exhausted: up to 1.7e12 eps^2 at
     k = 12 atoms.
     """
-    points = np.count_nonzero(w)
-    if points < n:
-        raise IllConditioned(f"vanishing polynomial norm at order {points}")
     alpha = np.zeros(n)
     beta = np.zeros(n)
     beta[0] = mass = float(np.sum(w))
     if not mass > 0:
         raise IllConditioned("vanishing polynomial norm at order 0")
-    v = np.sqrt(w / mass)
+    v = np.sqrt(w / mass) if log_w is None else np.exp(0.5 * (log_w - math.log(mass)))
+    points = np.count_nonzero(v)
+    if points < n:
+        raise IllConditioned(f"vanishing polynomial norm at order {points}")
     v_prev = np.zeros_like(v)
     r = np.empty_like(v)
     tmp = np.empty_like(v)
@@ -118,7 +125,8 @@ def _generic_coefficients(m: Measure, n: int) -> RecurrenceCoefficients:
     transform exactly under affine maps), and the discretization level is
     raised until alpha and beta stabilize to 1e-12 relative.  Each level
     runs ``_stieltjes_sweep``, Lanczos on the normalized vectors
-    sqrt(w) p_k, which raises IllConditioned when p_k vanishes on the nodes.
+    sqrt(w) p_k, which raises IllConditioned when p_k vanishes on the nodes;
+    sqrt(w) comes from the measure's log weight where it has one.
     """
     poly_degree = 2 * n
     lo = m.support[0][0]
@@ -131,8 +139,8 @@ def _generic_coefficients(m: Measure, n: int) -> RecurrenceCoefficients:
     rel_tol = 1e-12
     prev = None
     for level in range(quadrature.MIN_LEVEL + 1, quadrature.MAX_LEVEL + 1):
-        x, w = m.discretize(level, poly_degree)
-        a, b = _stieltjes_sweep((x - shift) / scale, w, n)
+        x, w, log_w = m.discretize(level, poly_degree)
+        a, b = _stieltjes_sweep((x - shift) / scale, w, n, log_w)
         alpha = a * scale + shift
         beta = np.concatenate([b[:1], b[1:] * scale * scale])
         if prev is not None:

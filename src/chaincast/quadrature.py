@@ -231,9 +231,9 @@ def tail_cutoff(rate: float, power: float, stretch: float) -> float:
     Chosen so the bound at T is below 1e-16 times the bound's peak value
     (the peak taken at x >= 1);
     with double-exponential decay of the quadrature this certifies the
-    discarded tail against the running total.  T doubles until it gets
-    there, which it does since the bound decays; a T that overflows raises
-    DivergentMoment.
+    discarded tail against the running total.  T starts at 2 * peak + 1 and
+    doubles until it gets there, which it does since the bound decays; a
+    peak or T that overflows raises DivergentMoment.
     """
     if rate <= 0 or stretch <= 0:
         raise ValueError("tail bound must decay")
@@ -241,13 +241,17 @@ def tail_cutoff(rate: float, power: float, stretch: float) -> float:
     def logbound(x):
         return power * np.log(x) - rate * x**stretch
 
-    peak = max((max(power, 0.0) / (rate * stretch)) ** (1.0 / stretch), 1.0)
-    target = logbound(peak) + np.log(1e-16)
-    t = peak * 2 + 1.0
-    while logbound(t) > target:
-        t *= 2.0
-        if math.isinf(t):
-            raise DivergentMoment("tail cutoff overflows: the bound "
-                                  f"x**{power} * exp(-{rate} * x**{stretch}) "
-                                  "decays too slowly")
+    try:
+        peak = max((max(power, 0.0) / (rate * stretch)) ** (1.0 / stretch), 1.0)
+        t = peak * 2 + 1.0
+        if not math.isinf(t):
+            target = logbound(peak) + np.log(1e-16)
+            while not math.isinf(t) and logbound(t) > target:
+                t *= 2.0
+    except OverflowError:  # the peak, or x**stretch at a T below inf
+        t = math.inf
+    if math.isinf(t):
+        raise DivergentMoment("tail cutoff overflows: the bound "
+                              f"x**{power} * exp(-{rate} * x**{stretch}) "
+                              "decays too slowly")
     return t

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,6 +179,30 @@ class TestChainCoefficients:
             rc = cc.chain_coefficients(sd, 1.0, n).rc
             np.testing.assert_allclose(rc.alpha, want_a[:n + 1], rtol=1e-11)
             np.testing.assert_allclose(rc.beta, want_b[:n + 1], rtol=1e-11)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    def test_mid_q_exp_cutoff_past_the_underflow(self, ohmic_exp_sd, q):
+        # 199 sites: the polynomials live past where the weight underflows,
+        # and sqrt(w) comes from the log weight.  A tail bound of half the
+        # rate doubles the cutoff and must not move the chain.
+        m = cc.measure_from_sd(ohmic_exp_sd, q)
+        assert m.log_weight is not None
+        t = m.tail
+        slower = replace(m, tail=cc.TailBound(t.rate / 2, t.power, t.stretch))
+        ref = cc.recurrence_coefficients(slower, 200)
+        c = cc.chain_coefficients(ohmic_exp_sd, q, 199)
+        np.testing.assert_allclose(c.rc.alpha, ref.alpha, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(c.rc.beta, ref.beta, rtol=1e-12, atol=0)
+
+    def test_phonon_exp_cutoff_keeps_the_weight(self, ohmic_exp_sd):
+        # At q = 1 the tail cutoff (3 * 2N / rate)**2 stops short of where
+        # the polynomials live, about (8N / rate)**2; a log weight there
+        # gave chains off by 8% to 15% instead of raising, so the phonon
+        # measure has none until that floor is fixed.
+        m = cc.measure_from_sd(ohmic_exp_sd, 1.0)
+        assert m.log_weight is None
+        with pytest.raises(cc.IllConditioned):
+            cc.chain_coefficients(ohmic_exp_sd, 1.0, 150)
 
     def test_mid_q_exp_cutoff_is_valid(self, ohmic_exp_sd):
         c = cc.chain_coefficients(ohmic_exp_sd, 0.5, 10)

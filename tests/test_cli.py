@@ -461,6 +461,28 @@ class TestRun:
             got = [float(row[key]) for row in rows]
             assert got == pytest.approx(list(getattr(ref, key)), rel=1e-12), key
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "power_law_exp_cutoff", "s": 1, "alpha": 0.1, "omega_c": 1.0},
+        {"family": "power_law", "s": -0.5, "alpha": 0.1, "omega_c": 1.0}],
+        ids=["exp_cutoff", "power_law"])
+    def test_tiny_q_run_approaches_q0(self, tmp_path, spec):
+        # At q = 1e-20 both sides of the mapping measure's factor
+        # ((1+q^2) q + 4 (1-q^2) x) / ((1+q) q + 4 (1-q) x) are O(q^2) at the
+        # support's lower end; formed from O(q) terms they read 0/0 there.
+        chains = {}
+        for q in (0, 1e-20):
+            out = tmp_path / str(q)
+            path = write_config(tmp_path / f"{q}.json", {
+                "spectral_density": spec, "mapping_q": q, "sites": 40})
+            assert cli.main(["run", "--config", path, "--out-dir", str(out)]) == cli.EXIT_OK
+            with open(out / "chain.csv") as fh:
+                fh.readline()
+                chains[q] = list(csv.DictReader(fh))
+        for key in ("alpha", "beta"):
+            got = [float(row[key]) for row in chains[1e-20]]
+            want = [float(row[key]) for row in chains[0]]
+            assert got == pytest.approx(want, rel=1e-12), key
+
     def test_byte_identical_reruns(self, tmp_path):
         path = ohmic_config(tmp_path)
         assert cli.main(["run", "--config", path]) == cli.EXIT_OK

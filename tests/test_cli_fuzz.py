@@ -3,7 +3,9 @@
 Configs are drawn over every family, mapping q, sites, residual orders and
 grids, valid and invalid, and run through ``cli.main`` in process.  Each
 must exit 0, 2, 3 or 4 without raising; a failure prints one line; a
-success writes a chain of ``sites`` rows and only finite numbers.
+success writes a chain of ``sites`` rows and only finite numbers.  A valid
+exponential cutoff at 0 < q < 1 must exit 0, at up to ``MAX_ORDER - 1``
+sites, unless the constructor rejects its constants.
 """
 
 import contextlib
@@ -65,8 +67,11 @@ def _piecewise(draw):
 
 @st.composite
 def _valid(draw):
-    """(config, tabulated rows or None), with a family and q that the
-    generic routes serve given fewer sites, so that a draw runs quickly."""
+    """(config, tabulated rows or None, must_run), with a family and q that
+    the generic routes serve given fewer sites, so that a draw runs quickly.
+    The exponential cutoff at 0 < q < 1, whose generic route forms sqrt(w)
+    from its log weight, takes any number of sites and must then exit 0
+    (must_run), unless the constructor rejects its constants."""
     kind = draw(st.sampled_from(["power_law", "power_law_exp_cutoff",
                                  "tabulated", "piecewise"]))
     rows = None
@@ -79,7 +84,8 @@ def _valid(draw):
     q = draw(st.one_of(st.sampled_from([0, 0.5, 1]), st.floats(0.0, 1.0)))
     closed = kind == "power_law" or (kind == "piecewise" and len(spec["intervals"]) == 1)
     generic = not closed or q not in (0, 1)
-    sites = draw(st.integers(1, 40 if generic else orthopoly.MAX_ORDER - 1))
+    must_run = kind == "power_law_exp_cutoff" and 0 < q < 1
+    sites = draw(st.integers(1, 40 if generic and not must_run else orthopoly.MAX_ORDER - 1))
     config = {"spectral_density": spec, "mapping_q": q, "sites": sites,
               "grid": {"points": draw(st.integers(2, 64))}}
     if q in (0, 1) and draw(st.booleans()):
@@ -87,7 +93,7 @@ def _valid(draw):
     if draw(st.booleans()):
         config["grid"]["range"] = sorted(draw(st.lists(st.floats(0.0, 3.0),
                                                        min_size=2, max_size=2)))
-    return config, rows
+    return config, rows, must_run
 
 
 _BAD_VALUES = st.sampled_from([None, True, "x", [], {}, -1, 0, 1e400, math.nan,
@@ -97,7 +103,7 @@ _BAD_VALUES = st.sampled_from([None, True, "x", [], {}, -1, 0, 1e400, math.nan,
 @st.composite
 def _invalid(draw):
     """A valid draw with one field broken: removed, retyped or unknown."""
-    config, rows = draw(_valid())
+    config, rows, _ = draw(_valid())
     spec = config["spectral_density"]
     target = draw(st.sampled_from([config, spec, config["grid"]]))
     how = draw(st.sampled_from(["drop", "retype", "unknown"]))
@@ -107,7 +113,7 @@ def _invalid(draw):
         target.pop(draw(st.sampled_from(sorted(target))), None)
     else:
         target[draw(st.sampled_from(sorted(target)))] = draw(_BAD_VALUES)
-    return config, rows
+    return config, rows, False
 
 
 def _finite_cells(path):
@@ -126,7 +132,7 @@ def _finite_cells(path):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(draw=st.one_of(_valid(), _invalid()))
 def test_run_exits_cleanly(draw):
-    config, rows = draw
+    config, rows, must_run = draw
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         if rows is not None:
@@ -138,6 +144,8 @@ def test_run_exits_cleanly(draw):
             code = cli.main(["run", "--config", str(root / "job.json")])
         assert code in EXITS
         lines = err.getvalue().splitlines()
+        assert (not must_run or code == cli.EXIT_OK
+                or lines[0].startswith("config error: spectral_density:")), (config, lines)
         if code != cli.EXIT_OK:
             assert len(lines) == 1 and lines[0].startswith(PREFIXES), lines
             return

@@ -135,11 +135,13 @@ class TestRecurrenceCoefficients:
         np.testing.assert_allclose(rc.beta[1:], ns[1:] * (ns[1:] + 1), rtol=1e-11)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("n", [60, 100, 150])
+    @pytest.mark.parametrize("n", [60, 100, 150, 190, 200])
     def test_generic_laguerre_beyond_the_bound_cutoff(self, n, s):
         # Unfloored, the tail cutoff for degree 2N stopped growing from
         # N = 60 on, inside the zeros of p_N, and the generic route was off
-        # by 1e-2 without raising.
+        # by 1e-2 without raising.  From N = 190 on, p_N lives past x = 745,
+        # where e^-x underflows but its square root, formed from the log
+        # weight, does not.
         m = cc.power_law_exp_measure(1.0, s)
         rc = cc.recurrence_coefficients(m, n, method="stieltjes")
         ns = np.arange(float(n))
@@ -234,13 +236,15 @@ class TestRecurrenceCoefficients:
 
 
 def _discretize_every_node(m, level, poly_degree=0):
-    """``Measure.discretize`` without merging nodes that share a position."""
+    """``Measure.discretize`` of a measure without a log weight, without
+    merging nodes that share a position."""
+    assert m.log_weight is None
     xs, ws = [], []
     for lo, hi in m._effective_intervals(poly_degree):
         x, _, _, w = quadrature._every_node(level, lo, hi)
         xs.append(x)
         ws.append(w * m.weight(x))
-    return np.concatenate(xs), np.concatenate(ws)
+    return np.concatenate(xs), np.concatenate(ws), None
 
 
 class TestMergedDiscretization:

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,17 @@ class TestTailCutoff:
     def test_overflow_raises(self):
         with pytest.raises(cc.DivergentMoment):
             quadrature.tail_cutoff(1e-320, 0.0, 1.0)
+
+    @pytest.mark.parametrize("rate, power, stretch",
+                             [(1e-310, 1.0, 1.0), (1e-300, 1.0, 0.5), (1e-310, 0.0, 2.0)])
+    def test_overflowing_bound_raises(self, rate, power, stretch):
+        # The peak (power / (rate * stretch)) ** (1 / stretch) overflows: to
+        # inf at stretch 1, once returned as the cutoff, and with a bare
+        # OverflowError at stretch 1/2; at stretch 2, x**stretch overflows
+        # while the doubling T is still finite.
+        with pytest.raises(cc.DivergentMoment,
+                           match=re.escape(f"x**{power} * exp(-{rate} * x**{stretch})")):
+            quadrature.tail_cutoff(rate, power, stretch)
 
 
 class TestVectorIntegrand:
