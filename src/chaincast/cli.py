@@ -53,7 +53,6 @@ from .errors import (
     BracketFailure,
     ChaincastError,
     ConfigError,
-    DivergentMoment,
     DomainError,
     GappedMeasure,
     IllConditioned,
@@ -267,17 +266,6 @@ def _write_chain_csv(path: str, cc, support) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _j0_sample_range(sd: SpectralDensity) -> tuple[float, float]:
-    """Sampling window when only J0 is requested: the support hull, with
-    unbounded tails cut where the declared bound certifies decay."""
-    lo, hi = sd.hull
-    if hi == float("inf"):
-        if sd.tail is None:
-            raise DivergentMoment("unbounded spectral density without tail bound")
-        hi = sd.tail.cutoff(0)
-    return lo, hi
-
-
 def _write_residual_csv(path: str, grid, columns: dict[int, np.ndarray],
                         q: float, clipped: tuple[float, float]) -> None:
     orders = sorted(columns)
@@ -315,8 +303,8 @@ def run(config: JobConfig) -> None:
             raise GappedMeasure("residual densities of a gapped spectral "
                                 f"density (Stieltjes transform {where})")
         clipped = report.residual.clipped_range()
-    else:
-        clipped = _j0_sample_range(config.sd)
+    else:  # J0 alone: on the hull, an unbounded end cut by its tail bound
+        clipped = config.sd.truncated_hull()
     lo, hi = clipped
     if config.grid_range is not None:
         glo, ghi = config.grid_range

@@ -9,6 +9,12 @@ consumes the Measure type defined here.
 
 Weight callables must be vectorized over numpy arrays and must tolerate
 evaluation at the support endpoints (clip/return 0 rather than raise).
+
+Only the last support interval may be unbounded (the exponential cutoff),
+and then only with a ``TailBound``.  Such a support is cut in one place,
+``truncated_hull`` (of a Measure and of a SpectralDensity alike), where
+``TailBound.cutoff`` certifies the discarded tail: every quadrature,
+discretization, guard span and sample window over it reads that cut.
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ class TailBound:
     """Certified decay of a weight on an unbounded interval.
 
     weight(x) <= C * x**power * exp(-rate * x**stretch) for large x and
-    some constant C.  Used to pick quadrature truncation points with the
-    discarded tail below 1e-16 of the bound's peak.
+    some constant C.  ``cutoff`` picks the quadrature truncation point with
+    the discarded tail below 1e-16 of the bound's peak.
     """
 
     rate: float
@@ -63,17 +69,45 @@ class TailBound:
     stretch: float = 1.0
 
     def cutoff(self, poly_degree: int = 0) -> float:
-        """Truncation point for moments of degree poly_degree: the bound's
-        ``quadrature.tail_cutoff``, floored at (3 poly_degree / rate) **
-        (1 / stretch), past the 4N / rate to which the largest zero of a
-        degree-N Laguerre polynomial grows (poly_degree = 2N, stretch 1).
-        A floor that overflows raises DivergentMoment."""
-        cut = quadrature.tail_cutoff(self.rate, self.power + poly_degree, self.stretch)
+        """Truncation point T for moments of degree poly_degree.
+
+        At T the bound times x**poly_degree is below 1e-16 of its peak (the
+        peak taken at x >= 1); with double-exponential decay of the
+        quadrature this certifies the discarded tail against the running
+        total.  T starts at 2 * peak + 1 and doubles until it gets there,
+        which it does since the bound decays.  T is floored at
+        (3 poly_degree / rate) ** (1 / stretch), past the 4N / rate to which
+        the largest zero of a degree-N Laguerre polynomial grows
+        (poly_degree = 2N, stretch 1).
+
+        A bound that does not decay raises ValueError; a peak, T or floor
+        that overflows raises DivergentMoment.
+        """
+        rate, power, stretch = self.rate, self.power + poly_degree, self.stretch
+        if rate <= 0 or stretch <= 0:
+            raise ValueError("tail bound must decay")
+
+        def logbound(x):
+            return power * np.log(x) - rate * x**stretch
+
+        try:
+            peak = max((max(power, 0.0) / (rate * stretch)) ** (1.0 / stretch), 1.0)
+            cut = peak * 2 + 1.0
+            if not math.isinf(cut):
+                target = logbound(peak) + np.log(1e-16)
+                while not math.isinf(cut) and logbound(cut) > target:
+                    cut *= 2.0
+        except OverflowError:  # the peak, or x**stretch at a T below inf
+            cut = math.inf
+        if math.isinf(cut):
+            raise DivergentMoment("tail cutoff overflows: the bound "
+                                  f"x**{power} * exp(-{rate} * x**{stretch}) "
+                                  "decays too slowly")
         with np.errstate(over="ignore"):
-            floor = float(np.float64(3.0 * poly_degree / self.rate) ** (1.0 / self.stretch))
+            floor = float(np.float64(3.0 * poly_degree / rate) ** (1.0 / stretch))
         if math.isinf(floor):
-            raise DivergentMoment(f"tail cutoff floor (3 * {poly_degree} / {self.rate})"
-                                  f" ** (1 / {self.stretch}) overflows")
+            raise DivergentMoment(f"tail cutoff floor (3 * {poly_degree} / {rate})"
+                                  f" ** (1 / {stretch}) overflows")
         return max(cut, floor)
 
 
@@ -288,7 +322,8 @@ def _check_intervals(support: Intervals) -> Intervals:
 
 
 class _Supported:
-    """Shape of a sorted tuple of support intervals, ``self.support``."""
+    """Shape of a sorted tuple of support intervals, ``self.support``, and
+    where its tail bound ``self.tail`` cuts an unbounded end."""
 
     @property
     def hull(self) -> tuple[float, float]:
@@ -301,6 +336,20 @@ class _Supported:
     @property
     def bounded(self) -> bool:
         return math.isfinite(self.support[-1][1])
+
+    def truncated_hull(self, poly_degree: int = 0) -> tuple[float, float]:
+        """The hull, an infinite end cut for moments of degree poly_degree:
+        at ``tail.cutoff(poly_degree)``, and at least 1.0 past the start of
+        the last interval.  The one place an unbounded support is cut;
+        without a tail bound it raises DivergentMoment."""
+        lo, hi = self.hull
+        if math.isinf(hi):
+            if self.tail is None:
+                raise DivergentMoment(
+                    "unbounded support without a tail bound: cannot certify "
+                    f"moments of degree {poly_degree}")
+            hi = max(self.support[-1][0] + 1.0, self.tail.cutoff(poly_degree))
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -343,13 +392,6 @@ class Measure(_Supported):
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def span(self) -> float:
-        a, b = self.hull
-        if math.isinf(b):
-            return self.tail.cutoff(0) - a if self.tail else math.inf
-        return b - a
-
     @classmethod
     def from_family(cls, fam: WeightFamily) -> "Measure":
         if isinstance(fam, PowerLawWeight):
@@ -376,16 +418,10 @@ class Measure(_Supported):
     # -- integration -------------------------------------------------------
 
     def _effective_intervals(self, poly_degree: int) -> Intervals:
-        out = []
-        for lo, hi in self.support:
-            if math.isinf(hi):
-                if self.tail is None:
-                    raise DivergentMoment(
-                        "unbounded support without a tail bound: cannot certify "
-                        f"moments of degree {poly_degree}")
-                hi = max(lo + 1.0, self.tail.cutoff(poly_degree))
-            out.append((lo, hi))
-        return tuple(out)
+        """The support, its last interval ending where ``truncated_hull``
+        ends."""
+        last = ((self.support[-1][0], self.truncated_hull(poly_degree)[1]),)
+        return self.support[:-1] + last
 
     def integrate(self, f: Callable, poly_degree: int = 0) -> float:
         """Integral of f against the measure, to 1e-13 relative per support

@@ -129,10 +129,7 @@ def _generic_coefficients(m: Measure, n: int) -> RecurrenceCoefficients:
     sqrt(w) comes from the measure's log weight where it has one.
     """
     poly_degree = 2 * n
-    lo = m.support[0][0]
-    hi = m.support[-1][1]
-    if math.isinf(hi):
-        hi = m._effective_intervals(poly_degree)[-1][1]
+    lo, hi = m.truncated_hull(poly_degree)
     shift = 0.5 * (lo + hi)
     scale = 0.5 * (hi - lo)
 

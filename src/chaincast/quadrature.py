@@ -5,7 +5,10 @@ Stieltjes transforms, reducer principal parts and the dense discretizations
 behind the generic recurrence-coefficient path.  The tanh-sinh rule clusters
 nodes double-exponentially at both endpoints, so integrable algebraic
 (``x**s``, ``s > -1``) and logarithmic endpoint singularities converge
-geometrically without per-family substitutions.
+geometrically without per-family substitutions.  The module holds the rule,
+its node maps and ``integrate``, over finite intervals only: where an
+unbounded support is cut is the measure's to say
+(``measures._Supported.truncated_hull``).
 
 Nodes carry their *distances* to the two endpoints besides their
 positions (``_every_node``); this keeps ``x - a`` accurate down to
@@ -37,16 +40,12 @@ run over a fixed node ordering, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentMoment
-
 __all__ = [
     "integrate",
-    "tail_cutoff",
 ]
 
 # Levels: the rule at `level` has step h = 2**-level and O(2**level) nodes.
@@ -224,34 +223,3 @@ def integrate(f: Callable, a: float, b: float, rel_tol: float = 1e-13,
     out, never = _refine(sums, MIN_LEVEL, accept)
     return out[:, 0].reshape(shape)[()], not len(never)
 
-
-def tail_cutoff(rate: float, power: float, stretch: float) -> float:
-    """Truncation point T for a tail bounded by x**power * exp(-rate*x**stretch).
-
-    Chosen so the bound at T is below 1e-16 times the bound's peak value
-    (the peak taken at x >= 1);
-    with double-exponential decay of the quadrature this certifies the
-    discarded tail against the running total.  T starts at 2 * peak + 1 and
-    doubles until it gets there, which it does since the bound decays; a
-    peak or T that overflows raises DivergentMoment.
-    """
-    if rate <= 0 or stretch <= 0:
-        raise ValueError("tail bound must decay")
-
-    def logbound(x):
-        return power * np.log(x) - rate * x**stretch
-
-    try:
-        peak = max((max(power, 0.0) / (rate * stretch)) ** (1.0 / stretch), 1.0)
-        t = peak * 2 + 1.0
-        if not math.isinf(t):
-            target = logbound(peak) + np.log(1e-16)
-            while not math.isinf(t) and logbound(t) > target:
-                t *= 2.0
-    except OverflowError:  # the peak, or x**stretch at a T below inf
-        t = math.inf
-    if math.isinf(t):
-        raise DivergentMoment("tail cutoff overflows: the bound "
-                              f"x**{power} * exp(-{rate} * x**{stretch}) "
-                              "decays too slowly")
-    return t

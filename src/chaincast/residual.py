@@ -92,10 +92,9 @@ class ResidualDensity:
 
 
 def _tail_cut(J: SpectralDensity) -> float:
-    lo = J.hull[0]
-    if J.tail is None:
-        raise UnsupportedMapping("unbounded spectral density without tail bound")
-    hi = J.tail.cutoff(0)
+    """Where J_0 last exceeds 1e-12 of its peak on a grid over its
+    ``truncated_hull``."""
+    lo, hi = J.truncated_hull()
     grid = np.linspace(lo, hi, 40001)[1:]
     vals = np.asarray(J(grid), float)
     peak = float(vals.max())

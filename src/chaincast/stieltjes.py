@@ -87,8 +87,14 @@ _log = logging.getLogger(__name__)
 
 
 def _span(m: Measure) -> float:
-    s = m.span
-    return s if math.isfinite(s) else 1.0
+    """Width of the hull, an unbounded end cut where ``truncated_hull``
+    cuts it; 1.0 where that width is not finite, or where the support is
+    unbounded without a tail bound (``reducer`` then raises
+    UnsupportedMeasure)."""
+    if not m.bounded and m.tail is None:
+        return 1.0
+    lo, hi = m.truncated_hull()
+    return hi - lo if math.isfinite(hi - lo) else 1.0
 
 
 def evaluation_band(m: Measure) -> tuple[float, float]:

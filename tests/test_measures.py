@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import chaincast as cc
-from chaincast import quadrature, stieltjes
+from chaincast import stieltjes
 from chaincast.errors import (
     DivergentMoment,
     DomainError,
@@ -244,7 +244,16 @@ class TestTailCutoff:
         # of degree 2N at stretch 1, past the largest Laguerre zero (~4N)
         bound = cc.TailBound(rate=2.0, power=1.0, stretch=stretch)
         assert bound.cutoff(400) == (3.0 * 400 / 2.0) ** (1.0 / stretch)
-        assert bound.cutoff(0) == quadrature.tail_cutoff(2.0, 1.0, stretch)
+        # at degree 0 no floor applies: the doubling search stops at the
+        # first T where the bound x exp(-2 x**stretch) is below 1e-16 of
+        # its peak
+        t = bound.cutoff(0)
+
+        def log_bound(x):
+            return math.log(x) - 2.0 * x**stretch
+
+        peak = max(map(log_bound, np.geomspace(1e-3, t, 4001)))
+        assert log_bound(t) <= peak + math.log(1e-16) < log_bound(t / 2.0)
 
     @pytest.mark.parametrize("rate, degree, stretch", [
         (2.857e-306, 200, 1.0),  # 3 * degree / rate is inf
@@ -253,9 +262,39 @@ class TestTailCutoff:
     def test_floor_that_overflows_raises(self, rate, degree, stretch):
         # the bound's own cutoff is finite, about 1.4e308 and 1.7e308
         bound = cc.TailBound(rate=rate, stretch=stretch)
-        assert math.isfinite(quadrature.tail_cutoff(rate, degree, stretch))
+        assert math.isfinite(cc.TailBound(rate, degree, stretch).cutoff(0))
         with pytest.raises(DivergentMoment, match="floor"):
             bound.cutoff(degree)
+
+
+class TestTruncatedHull:
+    """``truncated_hull``: the one place an unbounded support is cut."""
+
+    def test_unbounded_without_a_tail_raises(self):
+        sd = cc.custom_sd(lambda w: np.exp(-np.asarray(w, float)), ((0.0, math.inf),))
+        for supported in (sd, cc.measure_from_sd(sd, 0.0)):
+            with pytest.raises(DivergentMoment, match="without a tail bound"):
+                supported.truncated_hull()
+
+    @pytest.mark.parametrize("degree", [0, 40, 400])
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_ends_where_the_quadrature_does(self, q, degree):
+        m = cc.measure_from_sd(cc.power_law_exp_sd(1.0, 0.1, 0.7), q)
+        lo, hi = m.truncated_hull(degree)
+        assert lo == m.hull[0] and math.isfinite(hi)
+        assert hi == m._effective_intervals(degree)[-1][1]
+
+    def test_bounded_hull_is_kept(self):
+        sd = cc.power_law_sd(0.5, 0.1, 2.0)
+        assert sd.truncated_hull(400) == sd.hull == (0.0, 2.0)
+
+    def test_unbounded_span_without_a_tail(self):
+        # the guard span falls back to 1.0, so the reducer, not the
+        # truncation, is what rejects such a measure
+        m = cc.Measure(lambda x: np.exp(-np.asarray(x, float)), ((0.0, math.inf),))
+        assert stieltjes._span(m) == 1.0
+        with pytest.raises(cc.UnsupportedMeasure):
+            cc.reducer(m, 1.0)
 
 
 def _random_flats(count, seed):

@@ -224,7 +224,7 @@ class TestTailCutoff:
 
     def test_overflow_raises(self):
         with pytest.raises(cc.DivergentMoment):
-            quadrature.tail_cutoff(1e-320, 0.0, 1.0)
+            cc.TailBound(1e-320, 0.0, 1.0).cutoff(0)
 
     @pytest.mark.parametrize("rate, power, stretch",
                              [(1e-310, 1.0, 1.0), (1e-300, 1.0, 0.5), (1e-310, 0.0, 2.0)])
@@ -235,7 +235,7 @@ class TestTailCutoff:
         # while the doubling T is still finite.
         with pytest.raises(cc.DivergentMoment,
                            match=re.escape(f"x**{power} * exp(-{rate} * x**{stretch})")):
-            quadrature.tail_cutoff(rate, power, stretch)
+            cc.TailBound(rate, power, stretch).cutoff(0)
 
 
 class TestVectorIntegrand:
