@@ -68,47 +68,61 @@ class TailBound:
     power: float = 0.0
     stretch: float = 1.0
 
+    @property
+    def unit(self) -> float:
+        """rate ** (-1 / stretch), the x at which rate * x**stretch = 1: the
+        bound's own unit of length (omega_c for the exponential cutoff at
+        q = 0, omega_c**2 at q = 1).  Raises OverflowError where it
+        overflows; ``cutoff`` raises DivergentMoment there."""
+        return float(self.rate) ** (-1.0 / self.stretch)
+
     def cutoff(self, poly_degree: int = 0) -> float:
         """Truncation point T for moments of degree poly_degree.
 
-        At T the bound times x**poly_degree is below 1e-16 of its peak (the
-        peak taken at x >= 1); with double-exponential decay of the
-        quadrature this certifies the discarded tail against the running
-        total.  T starts at 2 * peak + 1 and doubles until it gets there,
-        which it does since the bound decays.  T is floored at
+        Found in y = x / unit, where the bound reads
+        y**power * exp(-y**stretch) up to a constant, so T follows the bound
+        at any scale.  At T the bound times x**poly_degree is below 1e-16 of
+        its peak (the peak taken at y >= 1); with double-exponential decay
+        of the quadrature this certifies the discarded tail against the
+        running total.  Y starts at 2 * peak + 1 and doubles until it gets
+        there, which it does since the bound decays.  Y is floored at
+        (3 poly_degree) ** (1 / stretch), so T at
         (3 poly_degree / rate) ** (1 / stretch), past the 4N / rate to which
         the largest zero of a degree-N Laguerre polynomial grows
-        (poly_degree = 2N, stretch 1).
+        (poly_degree = 2N, stretch 1).  T = unit * max(Y, floor).
 
-        A bound that does not decay raises ValueError; a peak, T or floor
-        that overflows raises DivergentMoment.
+        A bound that does not decay raises ValueError; a unit, peak, T or
+        floor that overflows raises DivergentMoment.
         """
         rate, power, stretch = self.rate, self.power + poly_degree, self.stretch
         if rate <= 0 or stretch <= 0:
             raise ValueError("tail bound must decay")
 
-        def logbound(x):
-            return power * np.log(x) - rate * x**stretch
+        def logbound(y):
+            return power * np.log(y) - y**stretch
 
         try:
-            peak = max((max(power, 0.0) / (rate * stretch)) ** (1.0 / stretch), 1.0)
-            cut = peak * 2 + 1.0
-            if not math.isinf(cut):
+            unit = self.unit
+            peak = max((max(power, 0.0) / stretch) ** (1.0 / stretch), 1.0)
+            y = peak * 2 + 1.0
+            if not math.isinf(y):
                 target = logbound(peak) + np.log(1e-16)
-                while not math.isinf(cut) and logbound(cut) > target:
-                    cut *= 2.0
-        except OverflowError:  # the peak, or x**stretch at a T below inf
-            cut = math.inf
-        if math.isinf(cut):
+                while not math.isinf(y) and logbound(y) > target:
+                    y *= 2.0
+        except OverflowError:  # the unit, the peak, or y**stretch at a Y below inf
+            y = math.inf
+        if not math.isinf(y):
+            with np.errstate(over="ignore"):
+                floor = float(np.float64(3.0 * poly_degree) ** (1.0 / stretch))
+            if math.isinf(unit * floor):
+                raise DivergentMoment(f"tail cutoff floor (3 * {poly_degree} / {rate})"
+                                      f" ** (1 / {stretch}) overflows")
+            y = max(y, floor)
+        if math.isinf(y) or math.isinf(unit * y):
             raise DivergentMoment("tail cutoff overflows: the bound "
                                   f"x**{power} * exp(-{rate} * x**{stretch}) "
                                   "decays too slowly")
-        with np.errstate(over="ignore"):
-            floor = float(np.float64(3.0 * poly_degree / rate) ** (1.0 / stretch))
-        if math.isinf(floor):
-            raise DivergentMoment(f"tail cutoff floor (3 * {poly_degree} / {rate})"
-                                  f" ** (1 / {stretch}) overflows")
-        return max(cut, floor)
+        return unit * y
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +353,17 @@ class _Supported:
 
     def truncated_hull(self, poly_degree: int = 0) -> tuple[float, float]:
         """The hull, an infinite end cut for moments of degree poly_degree:
-        at ``tail.cutoff(poly_degree)``, and at least 1.0 past the start of
-        the last interval.  The one place an unbounded support is cut;
-        without a tail bound it raises DivergentMoment."""
+        at ``tail.cutoff(poly_degree)``, and at least one ``tail.unit`` past
+        the start of the last interval.  The one place an unbounded support
+        is cut; without a tail bound it raises DivergentMoment."""
         lo, hi = self.hull
         if math.isinf(hi):
             if self.tail is None:
                 raise DivergentMoment(
                     "unbounded support without a tail bound: cannot certify "
                     f"moments of degree {poly_degree}")
-            hi = max(self.support[-1][0] + 1.0, self.tail.cutoff(poly_degree))
+            cut = self.tail.cutoff(poly_degree)  # raises where the unit overflows
+            hi = max(self.support[-1][0] + self.tail.unit, cut)
         return lo, hi
 
 

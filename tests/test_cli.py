@@ -511,6 +511,44 @@ class TestRun:
         hi = float(meta.split("clipped_range=[")[1].rstrip("]\n").split(",")[1])
         assert 25.0 < hi < 45.0
 
+    @pytest.mark.parametrize("omega_c", [1e-6, 1e-3, 1.0, 1e3])
+    def test_exp_cutoff_j0_window_follows_omega_c(self, tmp_path, omega_c):
+        # J0 alone is sampled on the truncated hull, 48 omega_c at every
+        # scale.  Cut in absolute x, it ran to 3000 omega_c at
+        # omega_c = 1e-3, where J0 was above 1e-3 of its maximum at 2 of the
+        # 512 points.
+        path = write_config(tmp_path / "job.json", {
+            "spectral_density": {"family": "power_law_exp_cutoff", "s": 1,
+                                 "alpha": 0.1, "omega_c": omega_c},
+            "mapping_q": 0, "sites": 20})
+        assert cli.main(["run", "--config", path]) == cli.EXIT_OK
+        with open(tmp_path / "residual.csv") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        omega = [float(row["omega"]) for row in rows]
+        j0 = [float(row["J0"]) for row in rows]
+        assert omega[-1] == pytest.approx(48.0 * omega_c, rel=1e-12)
+        assert sum(v > 1e-3 * max(j0) for v in j0) > 100
+
+    def test_phonon_exp_cutoff_at_a_small_scale(self, tmp_path):
+        # The q = 1 measure's tail unit is omega_c**2, so its chain at
+        # omega_c = 1e-6 is the omega_c = 1 chain scaled by omega_c**2
+        # (alpha) and omega_c**4 (beta_n, n >= 1).  Cut in absolute x, the
+        # generic route did not stabilize there and the run exited 3.
+        chains = {}
+        for omega_c in (1.0, 1e-6):
+            out = tmp_path / str(omega_c)
+            path = write_config(tmp_path / f"{omega_c}.json", {
+                "spectral_density": {"family": "power_law_exp_cutoff", "s": 1,
+                                     "alpha": 0.1, "omega_c": omega_c},
+                "mapping_q": 1, "sites": 60})
+            assert cli.main(["run", "--config", path, "--out-dir", str(out)]) == cli.EXIT_OK
+            chains[omega_c] = json.loads((out / "report.json").read_text())
+        small, unit = chains[1e-6], chains[1.0]
+        assert [a / 1e-12 for a in small["alpha"]] == pytest.approx(unit["alpha"], rel=1e-11)
+        assert [b / 1e-24 for b in small["beta"][1:]] == pytest.approx(unit["beta"][1:],
+                                                                       rel=1e-11)
+
     def test_phonon_run(self, tmp_path):
         path = ohmic_config(tmp_path, mapping_q=1)
         assert cli.main(["run", "--config", path]) == cli.EXIT_OK

@@ -149,6 +149,18 @@ class TestRecurrenceCoefficients:
         assert rc.beta[0] == pytest.approx(math.gamma(s + 1), rel=1e-12)
         np.testing.assert_allclose(rc.beta[1:], ns[1:] * (ns[1:] + s), rtol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.5, 2.0, 1e3, 1e6])
+    @pytest.mark.parametrize("n", [20, 60, 150])
+    def test_generic_laguerre_at_any_scale(self, n, scale):
+        # The tail cutoff is found in the bound's own unit, here the scale.
+        # Found in absolute x, it ran 3e6 scales out at scale 1e-6, and the
+        # generic route raised IllConditioned from N = 20 on.
+        m = cc.power_law_exp_measure(1.0, 1.0, scale)
+        rc = cc.recurrence_coefficients(m, n, method="stieltjes")
+        alpha, beta = m.family.recurrence(n)
+        np.testing.assert_allclose(rc.alpha, alpha, rtol=1e-12)
+        np.testing.assert_allclose(rc.beta, beta, rtol=1e-12)
+
     def test_semicircle_against_exact_gram_schmidt(self, semicircle_plain):
         # Oracle: exact rational Gram-Schmidt on moments (1, 0, 1/4, 0, 1/8, ...).
         a_ref, b_ref = exact_recurrence_from_moments(semicircle_exact_moments(20), 10)

@@ -215,7 +215,7 @@ class TestTailCutoff:
         # J = c w exp(-w/omega_c) peaks at omega_c; the cutoff must follow
         # omega_c however large, with J there below 1e-16 of the peak.
         ratios = []
-        for omega_c in (1.0, 1e12, 1e15):
+        for omega_c in (1e-6, 1e-3, 1.0, 1e12, 1e15):
             sd = cc.power_law_exp_sd(1.0, 0.1, omega_c)
             t = sd.tail.cutoff(0)
             ratios.append(t / omega_c)
@@ -227,15 +227,26 @@ class TestTailCutoff:
             cc.TailBound(1e-320, 0.0, 1.0).cutoff(0)
 
     @pytest.mark.parametrize("rate, power, stretch",
-                             [(1e-310, 1.0, 1.0), (1e-300, 1.0, 0.5), (1e-310, 0.0, 2.0)])
+                             [(1e-310, 1.0, 1.0), (1e-300, 1.0, 0.5)])
     def test_overflowing_bound_raises(self, rate, power, stretch):
-        # The peak (power / (rate * stretch)) ** (1 / stretch) overflows: to
-        # inf at stretch 1, once returned as the cutoff, and with a bare
-        # OverflowError at stretch 1/2; at stretch 2, x**stretch overflows
-        # while the doubling T is still finite.
+        # The bound's unit rate ** (-1 / stretch) overflows: to inf at
+        # stretch 1, once returned as the cutoff, and with a bare
+        # OverflowError at stretch 1/2.
         with pytest.raises(cc.DivergentMoment,
                            match=re.escape(f"x**{power} * exp(-{rate} * x**{stretch})")):
             cc.TailBound(rate, power, stretch).cutoff(0)
+
+    @pytest.mark.parametrize("rate", [1e-310, 5e-324])
+    def test_stretch_two_bound_of_a_tiny_rate(self, rate):
+        # Searched in absolute x, x**2 overflowed while the doubling T was
+        # still finite, and this raised.  In the bound's unit,
+        # rate ** (-1/2) <= 4.5e161 for every positive double rate, and the
+        # cutoff is 12 units.
+        t = cc.TailBound(rate, 0.0, 2.0).cutoff(0)
+        assert math.isfinite(t)
+        # exp(-rate t**2) against the peak exp(0) = 1, with rate t**2 formed
+        # in logs since t**2 overflows
+        assert -math.exp(math.log(rate) + 2.0 * math.log(t)) < math.log(1e-16)
 
 
 class TestVectorIntegrand:
