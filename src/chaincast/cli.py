@@ -20,11 +20,13 @@ spectral_density families: "power_law" and "power_law_exp_cutoff" take
 (s, alpha, omega_c); "tabulated" takes samples_path (CSV rows omega,J with
 strictly increasing omega); "piecewise" takes intervals [[lo, hi, height],
 ...] and may be gapped.  sites and each residual order are at most
-orthopoly.MAX_ORDER - 1 = 199.  A family's parameter rules are its
-constructor's; this module only parses.
+orthopoly.MAX_ORDER - 1 = 199, and grid.points at most MAX_GRID_POINTS =
+2**17.  A family's parameter rules are its constructor's; this module only
+parses.
 
 Exit codes: 0 success, 2 config error (residual orders at 0 < q < 1
-included), 3 numerical failure (arithmetic overflow included, numpy's too,
+included, and an output that cannot be written: one below a regular file,
+--out-dir included, or one naming a directory), 3 numerical failure (arithmetic overflow included, numpy's too,
 as are its 0/0 and division by zero, and a residual CSV or report that
 would hold a non-finite number, which is then not written), 4 unsupported
 request (residual densities of a gapped measure, or a reducer that is
@@ -73,6 +75,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_UNSUPPORTED = 4
+
+# grid.points at most this: the P and Q tables of a residual density of
+# order 199 on such a grid hold about 420 MB.
+MAX_GRID_POINTS = 2**17
 
 _SD_KEYS = {"family", "s", "alpha", "omega_c", "samples_path", "intervals"}
 _GRID_KEYS = {"points", "range"}
@@ -222,6 +228,8 @@ def validate(path: str | Path, q_override: float | None = None,
     _require(not unknown, "grid", f"unknown keys {sorted(unknown)}")
     points = _number(grid.get("points", 512), "grid.points", integer=True)
     _require(points >= 2, "grid.points", "need at least 2 grid points")
+    _require(points <= MAX_GRID_POINTS, "grid.points",
+             f"at most {MAX_GRID_POINTS} grid points, got {points}")
     grange = grid.get("range")
     if grange is not None:
         _require(isinstance(grange, list) and len(grange) == 2, "grid.range",
@@ -283,9 +291,14 @@ def run(config: JobConfig) -> None:
     warnings: list[str] = []
     # A job that fails part-way must not leave an earlier job's outputs
     # beside its own.
-    for out in map(Path, (config.chain_csv, config.residual_csv, config.report_json)):
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.unlink(missing_ok=True)
+    for key, out in (("outputs.chain_csv", config.chain_csv),
+                     ("outputs.residual_csv", config.residual_csv),
+                     ("outputs.report_json", config.report_json)):
+        try:
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+            Path(out).unlink(missing_ok=True)
+        except OSError as exc:  # below a regular file, or a directory itself
+            raise ConfigError(key, f"cannot write {out}: {exc}") from exc
     positive_orders = [n for n in config.residual_orders if n > 0]
     report = convergence_report(config.sd, config.mapping_q, config.sites,
                                 residual_orders=max(positive_orders, default=0))
@@ -380,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
         # an ArithmeticError, instead of warning and carrying inf or nan on
         with np.errstate(all="raise", under="ignore"):
             run(config)
+    except ConfigError as exc:  # an output that cannot be written
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (UnsupportedMapping, UnsupportedMeasure, GappedMeasure) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

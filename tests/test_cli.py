@@ -239,6 +239,41 @@ class TestValidate:
         config = cli.validate(ohmic_config(tmp_path, residual_orders=[1, 199]))
         assert config.residual_orders == (1, 199)
 
+    @pytest.mark.parametrize("points", [cli.MAX_GRID_POINTS + 1, 10**12, 10**23])
+    def test_grid_points_beyond_the_maximum_exit_2(self, tmp_path, capsys, points):
+        # 10**12 points gave a 7.28 TiB allocation error, and 10**23 a
+        # "Maximum allowed size exceeded" ValueError, each a traceback and
+        # exit 1 after chain.csv was written
+        path = ohmic_config(tmp_path, grid={"points": points})
+        for command in ("validate", "run"):
+            assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "config error: grid.points: " in err
+        assert not any(tmp_path.glob("*.csv"))
+        config = cli.validate(ohmic_config(tmp_path, grid={"points": cli.MAX_GRID_POINTS}))
+        assert config.grid_points == 2**17
+
+    @pytest.mark.parametrize("case", ["out-dir-below-a-file", "out-dir-is-a-file",
+                                      "output-is-a-directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, case):
+        # each gave a NotADirectoryError, FileExistsError or
+        # IsADirectoryError traceback and exit 1
+        (tmp_path / "blocker").write_text("a regular file\n")
+        (tmp_path / "occupied" / "report.json").mkdir(parents=True)
+        argv = ["run", "--config", ohmic_config(tmp_path)]
+        if case == "output-is-a-directory":
+            argv[2] = ohmic_config(tmp_path, outputs={"report_json": "occupied/report.json"})
+            named = f"outputs.report_json: cannot write {tmp_path}/occupied/report.json: "
+        else:
+            out = tmp_path / "blocker" / ("sub" if case == "out-dir-below-a-file" else "")
+            argv += ["--out-dir", str(out)]
+            named = f"outputs.chain_csv: cannot write {out / 'chain.csv'}: "
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {named}"), err
+        assert (tmp_path / "blocker").read_text() == "a regular file\n"
+        assert (tmp_path / "occupied" / "report.json").is_dir()
+
     def test_sites_at_the_order_limit_run(self, tmp_path):
         path = ohmic_config(tmp_path, residual_orders=[])
         assert cli.main(["run", "--config", path, "--sites", "199"]) == cli.EXIT_OK

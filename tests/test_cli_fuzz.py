@@ -5,7 +5,8 @@ grids, valid and invalid, and run through ``cli.main`` in process.  Each
 must exit 0, 2, 3 or 4 without raising; a failure prints one line; a
 success writes a chain of ``sites`` rows and only finite numbers.  A valid
 exponential cutoff at 0 < q < 1 must exit 0, at up to ``MAX_ORDER - 1``
-sites, unless the constructor rejects its constants.
+sites, unless the constructor rejects its constants.  A config whose one
+fault is an output below a regular file or naming a directory must exit 2.
 """
 
 import contextlib
@@ -97,17 +98,26 @@ def _valid(draw):
 
 
 _BAD_VALUES = st.sampled_from([None, True, "x", [], {}, -1, 0, 1e400, math.nan,
-                               math.inf, 2.5, 500])
+                               math.inf, 2.5, 500, 10**12])
+
+# Made in each run's directory: an output below the file, or naming the
+# directory, cannot be written.
+_BLOCKER, _OCCUPIED = "blocker", "occupied"
 
 
 @st.composite
 def _invalid(draw):
-    """A valid draw with one field broken: removed, retyped or unknown."""
+    """A valid draw with one field broken: removed, retyped, unknown, or an
+    output that cannot be written."""
     config, rows, _ = draw(_valid())
     spec = config["spectral_density"]
     target = draw(st.sampled_from([config, spec, config["grid"]]))
-    how = draw(st.sampled_from(["drop", "retype", "unknown"]))
-    if how == "unknown":
+    how = draw(st.sampled_from(["drop", "retype", "unknown", "unwritable"]))
+    if how == "unwritable":
+        key = draw(st.sampled_from(["chain_csv", "residual_csv", "report_json"]))
+        config["outputs"] = {key: draw(st.sampled_from([f"{_BLOCKER}/{key}.out",
+                                                        _OCCUPIED]))}
+    elif how == "unknown":
         target["colour"] = 1
     elif how == "drop" or not target:
         target.pop(draw(st.sampled_from(sorted(target))), None)
@@ -139,10 +149,13 @@ def test_run_exits_cleanly(draw):
             (root / "samples.csv").write_text(
                 "".join(f"{w!r},{j!r}\n" for w, j in rows))
         (root / "job.json").write_text(json.dumps(config))
+        (root / _BLOCKER).write_text("")
+        (root / _OCCUPIED).mkdir()
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["run", "--config", str(root / "job.json")])
         assert code in EXITS
+        assert "outputs" not in config or code == cli.EXIT_CONFIG, config
         lines = err.getvalue().splitlines()
         assert (not must_run or code == cli.EXIT_OK
                 or lines[0].startswith("config error: spectral_density:")), (config, lines)
