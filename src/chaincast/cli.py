@@ -26,9 +26,10 @@ parses.
 
 Exit codes: 0 success, 2 config error (residual orders at 0 < q < 1
 included, and an output that cannot be written: one below a regular file,
---out-dir included, or one naming a directory), 3 numerical failure (arithmetic overflow included, numpy's too,
-as are its 0/0 and division by zero, and a residual CSV or report that
-would hold a non-finite number, which is then not written), 4 unsupported
+--out-dir included, or one naming a directory), 3 numerical failure
+(arithmetic overflow included, numpy's too, as are its 0/0 and division by
+zero, and a residual CSV or report that would hold a non-finite number,
+which is then not written), 4 unsupported
 request (residual densities of a gapped measure, or a reducer that is
 unavailable for the measure).  The report's
 moment_gaps hold orders 1..max(residual_orders), at most 6.

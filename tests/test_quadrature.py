@@ -229,9 +229,9 @@ class TestTailCutoff:
     @pytest.mark.parametrize("rate, power, stretch",
                              [(1e-310, 1.0, 1.0), (1e-300, 1.0, 0.5)])
     def test_overflowing_bound_raises(self, rate, power, stretch):
-        # The bound's unit rate ** (-1 / stretch) overflows: to inf at
-        # stretch 1, once returned as the cutoff, and with a bare
-        # OverflowError at stretch 1/2.
+        # The bound's unit rate ** (-1 / stretch) overflows, as the peak did
+        # when the search ran in absolute x: once returned as the cutoff at
+        # stretch 1, and a bare OverflowError at stretch 1/2.
         with pytest.raises(cc.DivergentMoment,
                            match=re.escape(f"x**{power} * exp(-{rate} * x**{stretch})")):
             cc.TailBound(rate, power, stretch).cutoff(0)
